@@ -5,83 +5,14 @@ use dmn_core::parallel::par_map_threads_with;
 use dmn_core::placement::Placement;
 use dmn_core::radii::RadiusTable;
 use dmn_core::telemetry;
-use dmn_facility::{FlInstance, FlWorkspace, LocalSearchConfig, SearchStats, Solver};
-use dmn_graph::{Metric, NodeId};
+use dmn_facility::{FlInstance, FlWorkspace, LocalSearchConfig, NearestCopyOracle, SearchStats};
+use dmn_graph::{truncated_closure, Graph, Metric, NodeId};
 
-/// Which UFL solver backs phase 1. Theorem 7's constant depends on the
-/// solver's factor `f` only through Lemma 9, so all of these are valid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FlSolverKind {
-    /// Incremental add/drop/swap local search (default; 5 + ε).
-    #[default]
-    LocalSearch,
-    /// Incremental local search warm-started from Mettu–Plaxton (5 + ε;
-    /// far fewer moves than the cold start in practice).
-    LocalSearchWarm,
-    /// The original from-scratch local search (the seed implementation) —
-    /// same results as [`FlSolverKind::LocalSearch`], kept for equivalence
-    /// pinning and perf baselines.
-    LocalSearchRef,
-    /// Aggregated-gain local search (Whitaker): one pass per candidate add
-    /// prices every swap against it — `O(|open|)` cheaper per iteration
-    /// than [`FlSolverKind::LocalSearch`], same move set, trajectory not
-    /// bit-pinned to the reference. The sparse solve path's default.
-    LocalSearchAgg,
-    /// Mettu–Plaxton radius greedy (3; fastest at scale).
-    MettuPlaxton,
-    /// Jain–Vazirani primal–dual (3).
-    JainVazirani,
-    /// Density greedy (log-factor worst case, strong in practice).
-    Greedy,
-    /// Exact brute force (tiny instances; turns phase 1 optimal).
-    Exact,
-}
+use crate::sparse_path::{candidate_set, SparseOpts};
 
-impl FlSolverKind {
-    /// Every kind, in presentation order.
-    pub const ALL: [FlSolverKind; 8] = [
-        FlSolverKind::LocalSearch,
-        FlSolverKind::LocalSearchWarm,
-        FlSolverKind::LocalSearchRef,
-        FlSolverKind::LocalSearchAgg,
-        FlSolverKind::MettuPlaxton,
-        FlSolverKind::JainVazirani,
-        FlSolverKind::Greedy,
-        FlSolverKind::Exact,
-    ];
-
-    /// Stable kebab-case name (CLI / artifact value).
-    pub fn name(self) -> &'static str {
-        match self {
-            FlSolverKind::LocalSearch => "local-search",
-            FlSolverKind::LocalSearchWarm => "local-search-warm",
-            FlSolverKind::LocalSearchRef => "local-search-ref",
-            FlSolverKind::LocalSearchAgg => "local-search-agg",
-            FlSolverKind::MettuPlaxton => "mettu-plaxton",
-            FlSolverKind::JainVazirani => "jain-vazirani",
-            FlSolverKind::Greedy => "greedy",
-            FlSolverKind::Exact => "exact",
-        }
-    }
-
-    /// Parses a kebab-case kind name.
-    pub fn parse(name: &str) -> Option<FlSolverKind> {
-        FlSolverKind::ALL.into_iter().find(|k| k.name() == name)
-    }
-
-    pub(crate) fn as_solver(self) -> Solver {
-        match self {
-            FlSolverKind::LocalSearch => Solver::LocalSearch,
-            FlSolverKind::LocalSearchWarm => Solver::LocalSearchWarm,
-            FlSolverKind::LocalSearchRef => Solver::LocalSearchRef,
-            FlSolverKind::LocalSearchAgg => Solver::LocalSearchAgg,
-            FlSolverKind::MettuPlaxton => Solver::MettuPlaxton,
-            FlSolverKind::JainVazirani => Solver::JainVazirani,
-            FlSolverKind::Greedy => Solver::Greedy,
-            FlSolverKind::Exact => Solver::Exact,
-        }
-    }
-}
+/// Which UFL solver backs phase 1 (the facility-location crate's
+/// [`Solver`](dmn_facility::Solver) under its phase-1 name).
+pub use dmn_facility::Solver as FlSolverKind;
 
 /// Configuration of the approximation algorithm.
 ///
@@ -116,7 +47,7 @@ impl Default for ApproxConfig {
 }
 
 /// Copy sets after each phase, for the phase-ablation experiment (E8).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PhaseTrace {
     /// Copies after phase 1 (facility location).
     pub after_phase1: Vec<NodeId>,
@@ -127,7 +58,7 @@ pub struct PhaseTrace {
 }
 
 /// Per-phase wall-clock seconds (and phase-1 work counters) of one
-/// [`place_object`] run.
+/// per-object placement.
 ///
 /// The radius-table construction is attributed to phase 2 (it exists for
 /// the radius phases).
@@ -167,6 +98,32 @@ impl PhaseTimings {
     }
 }
 
+/// Where one object's distances come from.
+#[derive(Debug, Clone, Copy)]
+pub enum MetricSource<'a> {
+    /// The dense all-pairs closure over every node.
+    Dense(&'a Metric),
+    /// A truncated closure over a candidate ball around the object's
+    /// clients, built per object (see [`crate::sparse_path`]).
+    Sparse(&'a Graph, &'a SparseOpts),
+}
+
+/// Result of one per-object placement.
+#[derive(Debug, Clone, Default)]
+pub struct PlaceOutcome {
+    /// Per-phase copy sets in global node ids.
+    pub trace: PhaseTrace,
+    /// Per-phase timings (facility / radius-add / radius-prune).
+    pub timings: PhaseTimings,
+    /// Seconds spent building the truncated closure (0 on a dense source).
+    pub metric_seconds: f64,
+    /// Size of the node set the object was solved over (every node on a
+    /// dense source).
+    pub candidates: usize,
+    /// True when a warm seed survived sanitizing and started phase 1.
+    pub warm_seeded: bool,
+}
+
 /// Places one object; returns the final copy set.
 ///
 /// # Panics
@@ -178,36 +135,13 @@ pub fn place_object(
     workload: &ObjectWorkload,
     cfg: &ApproxConfig,
 ) -> Vec<NodeId> {
-    place_object_traced(metric, storage_cost, workload, cfg).after_phase3
-}
-
-/// Places one object keeping the per-phase copy sets.
-pub fn place_object_traced(
-    metric: &Metric,
-    storage_cost: &[f64],
-    workload: &ObjectWorkload,
-    cfg: &ApproxConfig,
-) -> PhaseTrace {
-    place_object_instrumented(metric, storage_cost, workload, cfg).0
-}
-
-/// Places one object keeping per-phase copy sets *and* wall-clock timings
-/// (the instrumentation behind `SolveReport` phase breakdowns).
-pub fn place_object_instrumented(
-    metric: &Metric,
-    storage_cost: &[f64],
-    workload: &ObjectWorkload,
-    cfg: &ApproxConfig,
-) -> (PhaseTrace, PhaseTimings) {
     place_object_in(&mut FlWorkspace::new(), metric, storage_cost, workload, cfg)
+        .0
+        .after_phase3
 }
 
-/// [`place_object_instrumented`] on a caller-provided facility-location
-/// workspace. Hot paths ([`place_all`], the registry engines, the sharded
-/// backend's per-shard workers) hold one workspace per worker thread and
-/// reuse its assignment tables and scratch buffers across all objects;
-/// together with the borrow-based [`FlInstance`], per-object phase-1
-/// setup is then allocation-free.
+/// [`place_object_with`] on a dense metric with a cold start, keeping the
+/// per-phase copy sets and timings.
 pub fn place_object_in(
     ws: &mut FlWorkspace,
     metric: &Metric,
@@ -215,81 +149,134 @@ pub fn place_object_in(
     workload: &ObjectWorkload,
     cfg: &ApproxConfig,
 ) -> (PhaseTrace, PhaseTimings) {
-    place_object_core(ws, metric, storage_cost, workload, cfg, None)
+    let src = MetricSource::Dense(metric);
+    let out = place_object_with(ws, src, storage_cost, workload, cfg, None);
+    (out.trace, out.timings)
 }
 
-/// [`place_object_in`] with a warm phase-1 seed: the local search starts
-/// from `warm` (typically the object's copy set from the previous time
-/// slot) instead of the best single facility, so a placement that is still
-/// near-optimal converges in a handful of moves.
+/// Places one object with distances from `src`, on a caller-provided
+/// facility-location workspace.
 ///
-/// The seed is sanitized before use — out-of-range and forbidden
-/// (infinite-storage) nodes are dropped, and an empty surviving seed falls
-/// back to the cold start — so a stale warm set (nodes gone, storage costs
-/// changed between slots) degrades gracefully instead of panicking.
-/// Non-local-search phase-1 backends have no seedable state and run cold.
-/// Phases 2 and 3 are identical to the cold path, so the Lemma-8
-/// guarantee is untouched (only the phase-1 *trajectory* changes).
-pub fn place_object_warm_in(
+/// Hot paths ([`place_all`], the registry engines, the sharded backend's
+/// per-shard workers) hold one workspace per worker thread and reuse its
+/// assignment tables and scratch buffers across all objects.
+///
+/// `warm` seeds the phase-1 local search (typically the object's copy set
+/// from the previous time slot) instead of the best single facility, so a
+/// placement that is still near-optimal converges in a handful of moves.
+/// The seed is sanitized first: nodes out of range, outside a sparse
+/// source's candidate ball, or with infinite storage cost are dropped, and
+/// an empty remainder falls back to the cold start. Non-local-search
+/// backends have no seedable state and run cold. Phases 2 and 3 do not
+/// read the seed, so the Lemma-8 guarantee is untouched.
+///
+/// # Panics
+/// Panics when the workload has no requests or every node has infinite
+/// storage cost.
+pub fn place_object_with(
     ws: &mut FlWorkspace,
-    metric: &Metric,
-    storage_cost: &[f64],
-    workload: &ObjectWorkload,
-    cfg: &ApproxConfig,
-    warm: &[NodeId],
-) -> (PhaseTrace, PhaseTimings) {
-    place_object_core(ws, metric, storage_cost, workload, cfg, Some(warm))
-}
-
-fn place_object_core(
-    ws: &mut FlWorkspace,
-    metric: &Metric,
+    src: MetricSource<'_>,
     storage_cost: &[f64],
     workload: &ObjectWorkload,
     cfg: &ApproxConfig,
     warm: Option<&[NodeId]>,
+) -> PlaceOutcome {
+    workload.validate().expect("invalid workload");
+    let w_total = workload.total_writes();
+    let warm = warm.filter(|_| {
+        matches!(
+            cfg.fl_solver,
+            FlSolverKind::LocalSearch
+                | FlSolverKind::LocalSearchWarm
+                | FlSolverKind::LocalSearchRef
+                | FlSolverKind::LocalSearchAgg
+        )
+    });
+    match src {
+        MetricSource::Dense(metric) => {
+            let n = metric.len();
+            let masses = workload.request_masses();
+            let seed = warm
+                .and_then(|set| usable_seed(set.iter().copied().filter(|&v| v < n), storage_cost));
+            let warm_seeded = seed.is_some();
+            let (trace, timings) =
+                run_phases(ws, metric, storage_cost, &masses, w_total, cfg, seed);
+            PlaceOutcome {
+                trace,
+                timings,
+                metric_seconds: 0.0,
+                candidates: n,
+                warm_seeded,
+            }
+        }
+        MetricSource::Sparse(graph, opts) => {
+            let span = telemetry::span(telemetry::spans::SOLVE_METRIC_BUILD);
+            let cand = candidate_set(graph, storage_cost, workload, opts);
+            let metric = truncated_closure(graph, &cand);
+            let metric_seconds = span.finish();
+            // Local index i ↔ global node cand[i]; every client is inside
+            // the ball, so no request mass is lost.
+            let cs: Vec<f64> = cand.iter().map(|&v| storage_cost[v]).collect();
+            let masses: Vec<f64> = cand.iter().map(|&v| workload.request_mass(v)).collect();
+            let seed = warm.and_then(|set| {
+                usable_seed(set.iter().filter_map(|v| cand.binary_search(v).ok()), &cs)
+            });
+            let warm_seeded = seed.is_some();
+            let (trace, timings) = run_phases(ws, &metric, &cs, &masses, w_total, cfg, seed);
+            // Back to global ids; `cand` is ascending, so sorted stays sorted.
+            let lift = |local: Vec<NodeId>| local.into_iter().map(|i| cand[i]).collect();
+            PlaceOutcome {
+                trace: PhaseTrace {
+                    after_phase1: lift(trace.after_phase1),
+                    after_phase2: lift(trace.after_phase2),
+                    after_phase3: lift(trace.after_phase3),
+                },
+                timings,
+                metric_seconds,
+                candidates: cand.len(),
+                warm_seeded,
+            }
+        }
+    }
+}
+
+/// The usable part of a warm seed already in local ids: sites with finite
+/// storage cost, sorted and deduplicated. `None` when nothing survives —
+/// the seed is stale and the cold start is the honest fallback.
+fn usable_seed(local: impl Iterator<Item = NodeId>, storage_cost: &[f64]) -> Option<Vec<NodeId>> {
+    let mut ok: Vec<NodeId> = local.filter(|&v| storage_cost[v].is_finite()).collect();
+    ok.sort_unstable();
+    ok.dedup();
+    (!ok.is_empty()).then_some(ok)
+}
+
+/// Phases 1–3 for one object over local ids: `metric`, `storage_cost` and
+/// `masses` index the same node set, and `seed` (when present) is a
+/// sanitized phase-1 start for a local-search backend.
+fn run_phases(
+    ws: &mut FlWorkspace,
+    metric: &Metric,
+    storage_cost: &[f64],
+    masses: &[f64],
+    w_total: f64,
+    cfg: &ApproxConfig,
+    seed: Option<Vec<NodeId>>,
 ) -> (PhaseTrace, PhaseTimings) {
     let mut timings = PhaseTimings::default();
     let span = telemetry::span(telemetry::spans::SOLVE_FACILITY);
-    workload.validate().expect("invalid workload");
-    let n = metric.len();
-    let masses = workload.request_masses();
-    let w_total = workload.total_writes();
-
-    // A warm seed must satisfy the local-search preconditions (in range,
-    // no forbidden sites, non-empty); anything else means the seed is
-    // stale and the cold start is the honest fallback.
-    let seed: Option<Vec<NodeId>> = warm.and_then(|set| {
-        let mut ok: Vec<NodeId> = set
-            .iter()
-            .copied()
-            .filter(|&v| v < n && storage_cost[v].is_finite())
-            .collect();
-        ok.sort_unstable();
-        ok.dedup();
-        if ok.is_empty() {
-            None
-        } else {
-            Some(ok)
-        }
-    });
 
     // Phase 1: facility location on the related problem (writes as reads).
     // Costs and demands are borrowed, not cloned, into the instance.
-    let fl = FlInstance::new(metric, storage_cost, &masses[..]);
+    let fl = FlInstance::new(metric, storage_cost, masses);
     let ls_cfg = LocalSearchConfig::default();
-    let (sol, fl_stats) = match (cfg.fl_solver, &seed) {
-        (
-            FlSolverKind::LocalSearch
-            | FlSolverKind::LocalSearchWarm
-            | FlSolverKind::LocalSearchRef,
-            Some(seed),
-        ) => {
-            let s = ws.local_search_from(&fl, seed, &ls_cfg);
+    let (sol, fl_stats) = match (cfg.fl_solver, seed) {
+        (FlSolverKind::LocalSearchAgg, Some(seed)) => {
+            let s = ws.local_search_aggregated_from(&fl, &seed, &ls_cfg);
             (s, ws.last_stats())
         }
-        (FlSolverKind::LocalSearchAgg, Some(seed)) => {
-            let s = ws.local_search_aggregated_from(&fl, seed, &ls_cfg);
+        // Only local-search backends receive a seed.
+        (_, Some(seed)) => {
+            let s = ws.local_search_from(&fl, &seed, &ls_cfg);
             (s, ws.last_stats())
         }
         (FlSolverKind::LocalSearch, None) => {
@@ -304,9 +291,8 @@ fn place_object_core(
             let s = ws.local_search_aggregated(&fl, &ls_cfg);
             (s, ws.last_stats())
         }
-        (other, _) => (other.as_solver().solve(&fl), SearchStats::default()),
+        (other, None) => (other.solve(&fl), SearchStats::default()),
     };
-    drop(fl);
     let after_phase1 = sol.open.clone();
     let mut copies = sol.open;
     debug_assert!(!copies.is_empty());
@@ -316,12 +302,16 @@ fn place_object_core(
     let span = telemetry::span(telemetry::spans::SOLVE_RADIUS_ADD);
 
     // Radii (Section 2.1) — fixed for phases 2 and 3.
-    let radii = RadiusTable::compute(metric, &masses, w_total, storage_cost);
+    let radii = RadiusTable::compute(metric, masses, w_total, storage_cost);
 
     // Phase 2: while a node is farther than 5·rs(v) from every copy, store
     // a copy at v. (Order does not matter for the guarantee; we scan
-    // round-robin until stable.)
+    // round-robin until stable.) The oracle answers each query in O(1)
+    // with exactly `metric.nearest_in`'s distance.
     if !cfg.skip_phase2 {
+        let n = metric.len();
+        let mut oracle = NearestCopyOracle::new(n);
+        oracle.reset(metric, &copies);
         loop {
             let mut added = false;
             for v in 0..n {
@@ -335,9 +325,9 @@ fn place_object_core(
                 if !rs.is_finite() {
                     continue; // storage at v can never pay off
                 }
-                let (_, d) = metric.nearest_in(v, &copies).expect("non-empty");
-                if d > cfg.storage_add_factor * rs {
+                if oracle.nearest_dist(v) > cfg.storage_add_factor * rs {
                     copies.insert(pos, v);
+                    oracle.add_copy(metric, v);
                     added = true;
                 }
             }
@@ -476,7 +466,8 @@ mod tests {
         let m = apsp(&g);
         let mut w = uniform_reads(9);
         w.writes[4] = 3.0;
-        let tr = place_object_traced(&m, &[2.0; 9], &w, &ApproxConfig::default());
+        let cfg = ApproxConfig::default();
+        let (tr, _) = place_object_in(&mut FlWorkspace::new(), &m, &[2.0; 9], &w, &cfg);
         assert!(!tr.after_phase1.is_empty());
         // Phase 2 only adds.
         for c in &tr.after_phase1 {
@@ -537,15 +528,20 @@ mod tests {
         // duplicates) must survive: the sanitized remainder seeds the
         // search, and the result is still a valid copy set.
         let mut ws = FlWorkspace::new();
-        let (tr, _) = place_object_warm_in(&mut ws, &m, &cs, &w, &cfg, &[3, 42, 0, 0, 8]);
+        let src = MetricSource::Dense(&m);
+        let out = place_object_with(&mut ws, src, &cs, &w, &cfg, Some(&[3, 42, 0, 0, 8]));
+        assert!(out.warm_seeded);
+        let tr = out.trace;
         assert!(!tr.after_phase3.is_empty());
         assert!(tr.after_phase3.iter().all(|&v| v < 9 && cs[v].is_finite()));
 
-        // An entirely-unusable seed falls back to the cold start exactly.
-        let (tr, _) = place_object_warm_in(&mut ws, &m, &cs, &w, &cfg, &[3, 42]);
-        assert_eq!(tr.after_phase3, cold);
-        let (tr, _) = place_object_warm_in(&mut ws, &m, &cs, &w, &cfg, &[]);
-        assert_eq!(tr.after_phase3, cold);
+        // An entirely-unusable seed falls back to the cold start exactly,
+        // and does not count as seeded.
+        for seed in [&[3, 42][..], &[]] {
+            let out = place_object_with(&mut ws, src, &cs, &w, &cfg, Some(seed));
+            assert!(!out.warm_seeded, "{seed:?}");
+            assert_eq!(out.trace.after_phase3, cold);
+        }
     }
 
     #[test]
@@ -560,9 +556,10 @@ mod tests {
         // seed is already a local optimum of phase 1's neighborhood plus
         // the deterministic radius phases).
         let mut ws = FlWorkspace::new();
-        let (tr, t) = place_object_warm_in(&mut ws, &m, &[4.0; 12], &w, &cfg, &cold);
-        assert!(!tr.after_phase3.is_empty());
-        assert!(t.facility >= 0.0);
+        let src = MetricSource::Dense(&m);
+        let out = place_object_with(&mut ws, src, &[4.0; 12], &w, &cfg, Some(&cold));
+        assert!(!out.trace.after_phase3.is_empty());
+        assert!(out.timings.facility >= 0.0);
     }
 
     #[test]
@@ -576,8 +573,13 @@ mod tests {
         };
         let cold = place_object(&m, &[1.0; 6], &w, &cfg);
         let mut ws = FlWorkspace::new();
-        let (tr, _) = place_object_warm_in(&mut ws, &m, &[1.0; 6], &w, &cfg, &[5]);
-        assert_eq!(tr.after_phase3, cold, "non-seedable backend runs cold");
+        let src = MetricSource::Dense(&m);
+        let out = place_object_with(&mut ws, src, &[1.0; 6], &w, &cfg, Some(&[5]));
+        assert_eq!(
+            out.trace.after_phase3, cold,
+            "non-seedable backend runs cold"
+        );
+        assert!(!out.warm_seeded, "an ignored seed is not counted");
     }
 
     #[test]

@@ -23,9 +23,9 @@ pub mod proper;
 pub mod sparse_path;
 
 pub use algorithm::{
-    place_all, place_object, place_object_in, place_object_instrumented, place_object_traced,
-    place_object_warm_in, ApproxConfig, FlSolverKind, PhaseTimings, PhaseTrace,
+    place_all, place_object, place_object_in, place_object_with, ApproxConfig, FlSolverKind,
+    MetricSource, PhaseTimings, PhaseTrace, PlaceOutcome,
 };
 pub use capacity::{enforce_capacities, respects_capacities, CapacityError};
 pub use proper::{check_proper, ProperReport};
-pub use sparse_path::{place_object_sparse, place_object_sparse_in, SparseOpts, SparseOutcome};
+pub use sparse_path::{place_object_sparse_in, SparseOpts};

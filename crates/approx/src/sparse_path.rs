@@ -1,36 +1,35 @@
-//! The sparse per-object solve path: the three-phase algorithm on a
-//! truncated metric closure instead of the dense n×n matrix.
+//! The sparse metric source: the three-phase algorithm on a truncated
+//! metric closure instead of the dense n×n matrix.
 //!
 //! Per object, the only nodes that matter are its clients (positive request
-//! mass) and the candidate facility sites near them. The sparse path
+//! mass) and the candidate facility sites near them. With
+//! [`MetricSource::Sparse`](crate::MetricSource), [`place_object_with`]
 //!
 //! 1. collects the clients and grows a candidate ball around them
 //!    ([`dmn_graph::ball_candidates`], sized by [`SparseOpts::expansion`]),
 //! 2. builds the **exact** metric closure restricted to that set
 //!    ([`dmn_graph::truncated_closure`] — one early-stopped Dijkstra per
-//!    candidate, cached for the whole object), and
-//! 3. runs the unchanged three-phase pipeline on the restricted instance,
-//!    with phase 2's radius scan answered by an incremental
-//!    [`NearestCopyOracle`] instead of per-query copy-set scans,
+//!    candidate, cached for the whole object), maps any warm seed into
+//!    the ball (seed nodes outside it are dropped), and
+//! 3. runs the same three-phase pipeline as the dense source on the
+//!    restricted instance,
 //!
 //! then maps the copy set back to global node ids. When the candidate set
 //! covers every node (e.g. every node is a client, or `expansion` is
 //! large), the restricted closure is bit-identical to the dense `apsp`
 //! rows and the whole trajectory — facility location, radii, both radius
-//! phases — reproduces the dense path exactly; with a truncated set the
-//! result may differ because facilities outside the ball are not
-//! considered, which the E16 experiment and the perf-smoke `scale_ok`
-//! gate bound in cost.
+//! phases — reproduces the dense path exactly, warm seeds included; with
+//! a truncated set the result may differ because facilities outside the
+//! ball are not considered, which the E16 experiment and the perf-smoke
+//! `scale_ok` gate bound in cost.
 
 use dmn_core::instance::ObjectWorkload;
-use dmn_core::radii::RadiusTable;
-use dmn_core::telemetry;
-use dmn_facility::{FlInstance, FlWorkspace, LocalSearchConfig, NearestCopyOracle, SearchStats};
-use dmn_graph::{ball_candidates, truncated_closure, Graph, NodeId};
+use dmn_facility::FlWorkspace;
+use dmn_graph::{ball_candidates, Graph, NodeId};
 
-use crate::algorithm::{ApproxConfig, FlSolverKind, PhaseTimings, PhaseTrace};
+use crate::algorithm::{place_object_with, ApproxConfig, MetricSource, PlaceOutcome};
 
-/// Knobs of the sparse solve path.
+/// Knobs of the sparse metric source.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SparseOpts {
     /// Candidate-ball size as a multiple of the client count: the per-object
@@ -41,9 +40,6 @@ pub struct SparseOpts {
     /// Floor on the candidate-set size (keeps tiny objects from degenerate
     /// one-node balls).
     pub min_candidates: usize,
-    /// Bucketing factor of the phase-2 nearest-copy oracle
-    /// (`0` = exact distances; see [`NearestCopyOracle`]).
-    pub oracle_eps: f64,
 }
 
 impl Default for SparseOpts {
@@ -51,44 +47,11 @@ impl Default for SparseOpts {
         SparseOpts {
             expansion: 3.0,
             min_candidates: 16,
-            oracle_eps: 0.0,
         }
     }
 }
 
-/// Result of one sparse per-object placement.
-#[derive(Debug, Clone)]
-pub struct SparseOutcome {
-    /// Per-phase copy sets in **global** node ids.
-    pub trace: PhaseTrace,
-    /// Per-phase timings (facility / radius-add / radius-prune).
-    pub timings: PhaseTimings,
-    /// Seconds spent building the truncated metric closure.
-    pub metric_seconds: f64,
-    /// Size of the candidate set the object was solved over.
-    pub candidates: usize,
-}
-
-/// Places one object through the sparse path (fresh workspace).
-pub fn place_object_sparse(
-    graph: &Graph,
-    storage_cost: &[f64],
-    workload: &ObjectWorkload,
-    cfg: &ApproxConfig,
-    opts: &SparseOpts,
-) -> SparseOutcome {
-    place_object_sparse_in(
-        &mut FlWorkspace::new(),
-        graph,
-        storage_cost,
-        workload,
-        cfg,
-        opts,
-    )
-}
-
-/// [`place_object_sparse`] on a caller-provided facility-location
-/// workspace (one per worker thread on the hot path).
+/// [`place_object_with`] on the sparse source with a cold start.
 ///
 /// # Panics
 /// Panics when the workload has no requests or every node has infinite
@@ -100,13 +63,21 @@ pub fn place_object_sparse_in(
     workload: &ObjectWorkload,
     cfg: &ApproxConfig,
     opts: &SparseOpts,
-) -> SparseOutcome {
-    let span = telemetry::span(telemetry::spans::SOLVE_METRIC_BUILD);
-    workload.validate().expect("invalid workload");
+) -> PlaceOutcome {
+    let src = MetricSource::Sparse(graph, opts);
+    place_object_with(ws, src, storage_cost, workload, cfg, None)
+}
+
+/// The object's candidate set, ascending: its clients plus the ball around
+/// them.
+pub(crate) fn candidate_set(
+    graph: &Graph,
+    storage_cost: &[f64],
+    workload: &ObjectWorkload,
+    opts: &SparseOpts,
+) -> Vec<NodeId> {
     let n = graph.num_nodes();
     assert_eq!(storage_cost.len(), n);
-
-    // Candidate set: clients plus the ball around them.
     let clients: Vec<NodeId> = (0..n).filter(|&v| workload.request_mass(v) > 0.0).collect();
     assert!(!clients.is_empty(), "workload has no requests");
     let target = ((clients.len() as f64 * opts.expansion).ceil() as usize)
@@ -120,138 +91,14 @@ pub fn place_object_sparse_in(
         cand.sort_unstable();
         cand.dedup();
     }
-    let metric = truncated_closure(graph, &cand);
-    let metric_seconds = span.finish();
-    let k = cand.len();
-
-    // Restricted instance: local index i ↔ global node cand[i]; every
-    // client is inside the ball, so no request mass is lost.
-    let cs: Vec<f64> = cand.iter().map(|&v| storage_cost[v]).collect();
-    let masses: Vec<f64> = cand.iter().map(|&v| workload.request_mass(v)).collect();
-    let w_total = workload.total_writes();
-
-    let mut timings = PhaseTimings::default();
-    let span = telemetry::span(telemetry::spans::SOLVE_FACILITY);
-
-    // Phase 1: facility location on the restricted related instance.
-    let fl = FlInstance::new(&metric, &cs[..], &masses[..]);
-    let ls_cfg = LocalSearchConfig::default();
-    let (sol, fl_stats) = match cfg.fl_solver {
-        FlSolverKind::LocalSearch => {
-            let s = ws.local_search(&fl, &ls_cfg);
-            (s, ws.last_stats())
-        }
-        FlSolverKind::LocalSearchWarm => {
-            let s = dmn_facility::local_search_warm_in(ws, &fl, &ls_cfg);
-            (s, ws.last_stats())
-        }
-        FlSolverKind::LocalSearchAgg => {
-            let s = ws.local_search_aggregated(&fl, &ls_cfg);
-            (s, ws.last_stats())
-        }
-        other => (other.as_solver().solve(&fl), SearchStats::default()),
-    };
-    drop(fl);
-    let after_phase1 = sol.open.clone();
-    let mut copies = sol.open;
-    debug_assert!(!copies.is_empty());
-    timings.facility = span.finish();
-    timings.fl_moves = fl_stats.moves;
-    timings.fl_candidates = fl_stats.candidates;
-    let span = telemetry::span(telemetry::spans::SOLVE_RADIUS_ADD);
-
-    // Radii over the restricted metric: every positive-mass node is in the
-    // candidate set, so the distance profiles are exact.
-    let radii = RadiusTable::compute(&metric, &masses, w_total, &cs);
-
-    // Phase 2 with the incremental nearest-copy oracle (O(1) per query,
-    // O(k) per accepted add). With `oracle_eps = 0` the compared distance
-    // equals the dense path's `nearest_in` value exactly.
-    if !cfg.skip_phase2 {
-        let mut oracle = NearestCopyOracle::new(k, opts.oracle_eps);
-        oracle.reset(&metric, &copies);
-        loop {
-            let mut added = false;
-            for v in 0..k {
-                let pos = match copies.binary_search(&v) {
-                    Ok(_) => continue,
-                    Err(pos) => pos,
-                };
-                let rs = radii.storage_radius[v];
-                if !rs.is_finite() {
-                    continue;
-                }
-                if oracle.nearest_dist(v) > cfg.storage_add_factor * rs {
-                    copies.insert(pos, v);
-                    oracle.add_copy(&metric, v);
-                    added = true;
-                }
-            }
-            if !added {
-                break;
-            }
-        }
-    }
-    let after_phase2 = copies.clone();
-    timings.radius_add = span.finish();
-    let span = telemetry::span(telemetry::spans::SOLVE_RADIUS_PRUNE);
-
-    // Phase 3: identical to the dense path, on the restricted metric.
-    if !cfg.skip_phase3 && w_total > 0.0 {
-        let mut order: Vec<NodeId> = copies.clone();
-        order.sort_by(|&a, &b| {
-            radii.write_radius[a]
-                .partial_cmp(&radii.write_radius[b])
-                .expect("radii are not NaN")
-                .then(a.cmp(&b))
-        });
-        let mut alive: Vec<bool> = vec![true; order.len()];
-        for (i, &v) in order.iter().enumerate() {
-            if !alive[i] {
-                continue;
-            }
-            for (j, &u) in order.iter().enumerate() {
-                if j != i && alive[j] {
-                    let ru = radii.write_radius[u];
-                    if metric.dist(u, v) <= cfg.write_prune_factor * ru {
-                        alive[j] = false;
-                    }
-                }
-            }
-        }
-        copies = order
-            .iter()
-            .enumerate()
-            .filter(|&(j, _)| alive[j])
-            .map(|(_, &v)| v)
-            .collect();
-        copies.sort_unstable();
-    }
-    assert!(
-        !copies.is_empty(),
-        "pruning never deletes the scanned survivor"
-    );
-    timings.radius_prune = span.finish();
-
-    // Back to global ids; `cand` is ascending, so sorted stays sorted.
-    let lift = |local: Vec<NodeId>| -> Vec<NodeId> { local.into_iter().map(|i| cand[i]).collect() };
-    SparseOutcome {
-        trace: PhaseTrace {
-            after_phase1: lift(after_phase1),
-            after_phase2: lift(after_phase2),
-            after_phase3: lift(copies),
-        },
-        timings,
-        metric_seconds,
-        candidates: k,
-    }
+    cand
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithm::place_object_traced;
-    use dmn_graph::{apsp, generators};
+    use crate::algorithm::{place_object_in, PhaseTrace};
+    use dmn_graph::{apsp, generators, Metric};
 
     fn uniform_reads(n: usize) -> ObjectWorkload {
         let mut w = ObjectWorkload::new(n);
@@ -259,6 +106,20 @@ mod tests {
             w.reads[v] = 1.0 + (v % 3) as f64;
         }
         w
+    }
+
+    fn dense_trace(m: &Metric, cs: &[f64], w: &ObjectWorkload, cfg: &ApproxConfig) -> PhaseTrace {
+        place_object_in(&mut FlWorkspace::new(), m, cs, w, cfg).0
+    }
+
+    fn sparse(
+        g: &Graph,
+        cs: &[f64],
+        w: &ObjectWorkload,
+        cfg: &ApproxConfig,
+        opts: &SparseOpts,
+    ) -> PlaceOutcome {
+        place_object_sparse_in(&mut FlWorkspace::new(), g, cs, w, cfg, opts)
     }
 
     #[test]
@@ -271,8 +132,8 @@ mod tests {
         w.writes[3] = 2.0;
         let cs = vec![4.0; 14];
         let cfg = ApproxConfig::default();
-        let dense = place_object_traced(&m, &cs, &w, &cfg);
-        let sparse = place_object_sparse(&g, &cs, &w, &cfg, &SparseOpts::default());
+        let dense = dense_trace(&m, &cs, &w, &cfg);
+        let sparse = sparse(&g, &cs, &w, &cfg, &SparseOpts::default());
         assert_eq!(sparse.candidates, 14);
         assert_eq!(sparse.trace.after_phase1, dense.after_phase1);
         assert_eq!(sparse.trace.after_phase2, dense.after_phase2);
@@ -293,8 +154,8 @@ mod tests {
             expansion: 1e9,
             ..SparseOpts::default()
         };
-        let dense = place_object_traced(&m, &cs, &w, &cfg);
-        let sparse = place_object_sparse(&g, &cs, &w, &cfg, &opts);
+        let dense = dense_trace(&m, &cs, &w, &cfg);
+        let sparse = sparse(&g, &cs, &w, &cfg, &opts);
         assert_eq!(sparse.candidates, 30, "expansion covers the graph");
         assert_eq!(sparse.trace.after_phase3, dense.after_phase3);
     }
@@ -306,7 +167,7 @@ mod tests {
         w.reads[0] = 5.0;
         w.reads[9] = 2.0; // clients in one corner
         let cs = vec![2.0; 64];
-        let out = place_object_sparse(
+        let out = sparse(
             &g,
             &cs,
             &w,
@@ -335,37 +196,37 @@ mod tests {
         let opts = SparseOpts {
             expansion: 1.0,
             min_candidates: 2,
-            oracle_eps: 0.0,
         };
-        let out = place_object_sparse(&g, &cs, &w, &ApproxConfig::default(), &opts);
+        let out = sparse(&g, &cs, &w, &ApproxConfig::default(), &opts);
         assert_eq!(out.trace.after_phase3, vec![19]);
     }
 
     #[test]
-    fn bucketed_oracle_keeps_costs_sane() {
-        let g = generators::grid(6, 6, |u, v| 1.0 + ((u + v) % 2) as f64);
-        let w = uniform_reads(36);
-        let cs = vec![5.0; 36];
-        let exact = place_object_sparse(
-            &g,
-            &cs,
-            &w,
-            &ApproxConfig::default(),
-            &SparseOpts::default(),
-        );
-        let bucketed = place_object_sparse(
-            &g,
-            &cs,
-            &w,
-            &ApproxConfig::default(),
-            &SparseOpts {
-                oracle_eps: 0.1,
-                ..SparseOpts::default()
-            },
-        );
-        // Bucketing rounds distances up → thresholds trip no later than
-        // exact mode; copy sets stay non-empty and valid either way.
-        assert!(!bucketed.trace.after_phase3.is_empty());
-        assert!(bucketed.trace.after_phase2.len() >= exact.trace.after_phase2.len());
+    fn warm_seed_is_mapped_into_the_ball() {
+        let g = generators::grid(8, 8, |_, _| 1.0);
+        let mut w = ObjectWorkload::new(64);
+        w.reads[0] = 5.0;
+        w.reads[9] = 2.0;
+        w.writes[1] = 1.0;
+        let cs = vec![2.0; 64];
+        let cfg = ApproxConfig::default();
+        let opts = SparseOpts::default();
+        let cold = sparse(&g, &cs, &w, &cfg, &opts);
+        assert!(cold.candidates < 64, "ball must truncate");
+        let mut ws = FlWorkspace::new();
+        let src = MetricSource::Sparse(&g, &opts);
+
+        // Node 63 is outside the corner ball and 500 outside the graph:
+        // only node 9 survives, in local ids, and seeds phase 1.
+        let out = place_object_with(&mut ws, src, &cs, &w, &cfg, Some(&[63, 500, 9]));
+        assert!(out.warm_seeded);
+        assert!(!out.trace.after_phase3.is_empty());
+        assert!(out.trace.after_phase3.iter().all(|&v| v < 64));
+
+        // A seed with nothing inside the ball runs cold, exactly.
+        let out = place_object_with(&mut ws, src, &cs, &w, &cfg, Some(&[63, 500]));
+        assert!(!out.warm_seeded);
+        assert_eq!(out.trace.after_phase3, cold.trace.after_phase3);
+        assert_eq!(out.timings.fl_moves, cold.timings.fl_moves);
     }
 }

@@ -6,9 +6,9 @@
 //! separation). We ablate phases on an Internet-like network and report
 //! the cost decomposition after each stage.
 
-use dmn_approx::algorithm::place_object_traced;
-use dmn_approx::ApproxConfig;
+use dmn_approx::{place_object_in, ApproxConfig};
 use dmn_core::cost::{evaluate_object, UpdatePolicy};
+use dmn_facility::FlWorkspace;
 use dmn_graph::dijkstra::apsp;
 use dmn_graph::generators::{self, TransitStubParams};
 use dmn_workloads::{WorkloadGen, WorkloadParams};
@@ -55,7 +55,8 @@ pub fn run() -> Report {
             },
         );
         let w = &gen.generate(&mut rng(8_100))[0];
-        let trace = place_object_traced(&metric, &cs, w, &ApproxConfig::default());
+        let cfg = ApproxConfig::default();
+        let (trace, _) = place_object_in(&mut FlWorkspace::new(), &metric, &cs, w, &cfg);
         for (stage, copies) in [
             ("phase 1 (FL)", &trace.after_phase1),
             ("phase 1-2 (+add)", &trace.after_phase2),

@@ -441,7 +441,8 @@ pub fn run_with(scenario: &Scenario, shards: usize) -> SmokeOutcome {
     let seed_req = one_thread.clone().fl_solver(FlSolverKind::LocalSearchRef);
     let seed_ref = approx.solve(&instance, &seed_req);
     let seed_ref2 = approx.solve(&instance, &seed_req);
-    let warm = approx.solve(&instance, &one_thread.clone().fl_warm_start(true));
+    let warm_req = one_thread.clone().fl_solver(FlSolverKind::LocalSearchWarm);
+    let warm = approx.solve(&instance, &warm_req);
     // Cost-weighted (LPT) partition: round-robin left shard 0 at ~1.8x
     // shard 3's cost on this scenario; sorting objects descending by
     // request mass before the greedy bin assignment balances the shards

@@ -54,6 +54,10 @@ pub use mettu_plaxton::mettu_plaxton;
 pub use nearest_copy::NearestCopyOracle;
 
 /// The available UFL solvers as a value, for configuration plumbing.
+///
+/// Phase 1 of the approximation algorithm runs one of these (`dmn-approx`
+/// re-exports the enum as `FlSolverKind`). Theorem 7's constant depends on
+/// the solver's factor only through Lemma 9, so every variant is valid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Solver {
     /// Add/drop/swap local search (5 + ε approximation; incremental
@@ -81,6 +85,37 @@ pub enum Solver {
 }
 
 impl Solver {
+    /// Every solver, in presentation order.
+    pub const ALL: [Solver; 8] = [
+        Solver::LocalSearch,
+        Solver::LocalSearchWarm,
+        Solver::LocalSearchRef,
+        Solver::LocalSearchAgg,
+        Solver::MettuPlaxton,
+        Solver::JainVazirani,
+        Solver::Greedy,
+        Solver::Exact,
+    ];
+
+    /// Stable kebab-case name (CLI / artifact value).
+    pub fn name(self) -> &'static str {
+        match self {
+            Solver::LocalSearch => "local-search",
+            Solver::LocalSearchWarm => "local-search-warm",
+            Solver::LocalSearchRef => "local-search-ref",
+            Solver::LocalSearchAgg => "local-search-agg",
+            Solver::MettuPlaxton => "mettu-plaxton",
+            Solver::JainVazirani => "jain-vazirani",
+            Solver::Greedy => "greedy",
+            Solver::Exact => "exact",
+        }
+    }
+
+    /// Parses a kebab-case solver name.
+    pub fn parse(name: &str) -> Option<Solver> {
+        Solver::ALL.into_iter().find(|k| k.name() == name)
+    }
+
     /// Runs the selected solver.
     pub fn solve(self, inst: &FlInstance) -> FlSolution {
         match self {

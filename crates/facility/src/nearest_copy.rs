@@ -1,39 +1,25 @@
-//! Incremental (optionally bucketed) nearest-copy distances.
+//! Incremental nearest-copy distances.
 //!
 //! The radius phases of the 3-phase algorithm repeatedly ask "how far is
 //! node `v` from its nearest copy?" while copies are only ever *added*
 //! (phase 2). [`NearestCopyOracle`] maintains that distance incrementally:
 //! each copy add is one `O(n)` fold, each query `O(1)` — replacing the
-//! `O(|copies|)` scan per query of `Metric::nearest_in`.
-//!
-//! With `eps > 0` queries return the distance rounded **up** to the next
-//! power of `1 + eps` — geometric buckets in the spirit of the
-//! approximate-data-structures line of Matias–Vitter–Young (cs/0205010):
-//! a `(1+eps)`-factor error in the nearest-copy distance perturbs the
-//! phase-2 threshold test `d > factor · rs(v)` by at most that factor,
-//! trading bounded placement drift for cheaper structures. `eps = 0` is
-//! exact and is what the equivalence tests pin against the dense path.
+//! `O(|copies|)` scan per query of `Metric::nearest_in`, whose value it
+//! returns bit for bit.
 
 use dmn_graph::{MetricView, NodeId};
 
-/// Per-node nearest-copy distance with incremental adds and geometric
-/// `(1 + eps)` bucketing (`eps = 0` = exact).
+/// Per-node nearest-copy distance with incremental adds.
 #[derive(Debug, Clone)]
 pub struct NearestCopyOracle {
     dist: Vec<f64>,
-    eps: f64,
 }
 
 impl NearestCopyOracle {
     /// An oracle over `n` nodes with no copies (all distances infinite).
-    ///
-    /// # Panics
-    /// Panics when `eps` is negative or not finite.
-    pub fn new(n: usize, eps: f64) -> Self {
-        assert!(eps >= 0.0 && eps.is_finite(), "eps must be finite and >= 0");
+    pub fn new(n: usize) -> Self {
         NearestCopyOracle {
             dist: vec![f64::INFINITY; n],
-            eps,
         }
     }
 
@@ -53,8 +39,8 @@ impl NearestCopyOracle {
     /// Folds one new copy into every node's distance: `O(n)`.
     ///
     /// Distances are read as `d(v, c)` — the querying node's row — to match
-    /// the dense path's `nearest_in` reads exactly (metric closures are
-    /// only symmetric up to an ulp).
+    /// `nearest_in` reads exactly (metric closures are only symmetric up to
+    /// an ulp).
     pub fn add_copy<M: MetricView + ?Sized>(&mut self, metric: &M, c: NodeId) {
         for (v, slot) in self.dist.iter_mut().enumerate() {
             let d = metric.dist(v, c);
@@ -64,34 +50,11 @@ impl NearestCopyOracle {
         }
     }
 
-    /// Distance from `v` to its nearest copy, bucketed when `eps > 0`
-    /// (result is in `[d, d * (1 + eps)]`); `f64::INFINITY` with no copies.
+    /// Distance from `v` to its nearest copy; `f64::INFINITY` with no
+    /// copies.
     #[inline]
     pub fn nearest_dist(&self, v: NodeId) -> f64 {
-        quantize_up(self.dist[v], self.eps)
-    }
-
-    /// The exact (unbucketed) nearest-copy distance.
-    #[inline]
-    pub fn exact_dist(&self, v: NodeId) -> f64 {
         self.dist[v]
-    }
-}
-
-/// Rounds `d` up to the next integer power of `1 + eps` (identity for
-/// `eps = 0`, zero, and non-finite inputs).
-fn quantize_up(d: f64, eps: f64) -> f64 {
-    if eps <= 0.0 || d <= 0.0 || !d.is_finite() {
-        return d;
-    }
-    let base = 1.0 + eps;
-    let k = (d.ln() / base.ln()).ceil();
-    let q = base.powf(k);
-    if q < d {
-        // Floating-point guard: the bucket edge must bound d from above.
-        base.powf(k + 1.0)
-    } else {
-        q
     }
 }
 
@@ -103,50 +66,24 @@ mod tests {
     #[test]
     fn exact_mode_matches_nearest_in() {
         let m = Metric::from_line(&[0.0, 1.0, 4.0, 10.0, 11.0]);
-        let mut o = NearestCopyOracle::new(5, 0.0);
+        let mut o = NearestCopyOracle::new(5);
         o.add_copy(&m, 1);
         o.add_copy(&m, 3);
         for v in 0..5 {
             let want = m.nearest_in(v, &[1, 3]).unwrap().1;
             assert_eq!(o.nearest_dist(v).to_bits(), want.to_bits());
-            assert_eq!(o.exact_dist(v).to_bits(), want.to_bits());
         }
     }
 
     #[test]
     fn reset_and_clear() {
         let m = Metric::from_line(&[0.0, 2.0, 5.0]);
-        let mut o = NearestCopyOracle::new(3, 0.0);
+        let mut o = NearestCopyOracle::new(3);
         o.reset(&m, &[2]);
         assert_eq!(o.nearest_dist(0), 5.0);
         o.reset(&m, &[0, 1]);
         assert_eq!(o.nearest_dist(2), 3.0);
         o.clear();
         assert!(o.nearest_dist(1).is_infinite());
-    }
-
-    #[test]
-    fn bucketed_distances_bound_exact_from_above() {
-        let m = Metric::from_line(&[0.0, 0.7, 3.3, 9.9]);
-        let eps = 0.25;
-        let mut o = NearestCopyOracle::new(4, eps);
-        o.add_copy(&m, 0);
-        for v in 1..4 {
-            let exact = o.exact_dist(v);
-            let q = o.nearest_dist(v);
-            assert!(q >= exact, "bucket edge below exact at {v}");
-            assert!(
-                q <= exact * (1.0 + eps) * (1.0 + 1e-12),
-                "too coarse at {v}"
-            );
-        }
-        // Zero distance stays zero regardless of bucketing.
-        assert_eq!(o.nearest_dist(0), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "eps must be finite")]
-    fn rejects_negative_eps() {
-        NearestCopyOracle::new(2, -0.1);
     }
 }

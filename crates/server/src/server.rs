@@ -17,11 +17,13 @@
 //!   immediately; demand drift re-solves once it exceeds
 //!   [`ServerConfig::resolve_threshold`] times the baseline mass.
 //!
-//! Re-solves run on one background worker thread, warm-started via
-//! [`SolveRequest::fl_warm_start`], and swap in an epoch-incremented
-//! snapshot on completion. Drift that arrives *during* a solve survives
-//! the swap (the worker only subtracts the drift it captured), so a
-//! demand shift can never be silently absorbed by an older solve.
+//! Re-solves run on one background worker thread and swap in an
+//! epoch-incremented snapshot on completion. Each re-solve is a cold
+//! solve of the live instance; the default request seeds its phase-1
+//! local search from Mettu–Plaxton ([`FlSolverKind::LocalSearchWarm`]),
+//! not from the incumbent placement. Drift that arrives *during* a solve
+//! survives the swap (the worker only subtracts the drift it captured),
+//! so a demand shift can never be silently absorbed by an older solve.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -36,7 +38,7 @@ use dmn_core::placement::Placement;
 use dmn_core::telemetry::{self, Counter, Gauge, Histogram};
 use dmn_graph::{Graph, Metric, NodeId};
 use dmn_json::Json;
-use dmn_solve::{solvers, SolveRequest};
+use dmn_solve::{solvers, FlSolverKind, SolveRequest};
 
 use crate::event::Event;
 use crate::snapshot::{Lookup, PlacementSnapshot};
@@ -66,9 +68,10 @@ fn wait_clean<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T
 pub struct ServerConfig {
     /// Registry name of the placement engine (any `dmn-solve` solver).
     pub solver: String,
-    /// Solve-time options; re-solves reuse it verbatim, so enabling
-    /// [`SolveRequest::fl_warm_start`] (the default here) makes every
-    /// background re-solve warm-started.
+    /// Solve-time options; re-solves reuse it verbatim. The default
+    /// selects [`FlSolverKind::LocalSearchWarm`], so every solve's phase-1
+    /// local search starts from Mettu–Plaxton (not from the incumbent
+    /// placement).
     pub request: SolveRequest,
     /// Demand drift tolerated before a re-solve, as a fraction of the
     /// baseline request mass (structural churn always re-solves).
@@ -92,7 +95,7 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             solver: "approx".into(),
-            request: SolveRequest::new().fl_warm_start(true),
+            request: SolveRequest::new().fl_solver(FlSolverKind::LocalSearchWarm),
             resolve_threshold: 0.02,
             background: true,
             telemetry: true,
@@ -1776,7 +1779,9 @@ mod tests {
     fn degraded_epoch_surfaces_in_health() {
         let cfg = ServerConfig {
             background: false,
-            request: SolveRequest::new().fl_warm_start(true).deadline(0.0),
+            request: SolveRequest::new()
+                .fl_solver(FlSolverKind::LocalSearchWarm)
+                .deadline(0.0),
             ..ServerConfig::default()
         };
         let server = test_server_with(cfg);

@@ -12,10 +12,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use dmn_approx::baselines;
-use dmn_approx::{
-    place_object_in, place_object_sparse_in, place_object_warm_in, PhaseTimings, PhaseTrace,
-    SparseOutcome,
-};
+use dmn_approx::{place_object_with, MetricSource, PhaseTimings, PhaseTrace, PlaceOutcome};
 use dmn_core::faults;
 use dmn_core::instance::{Instance, ObjectWorkload};
 use dmn_core::parallel::{par_map_threads, par_map_threads_with};
@@ -52,15 +49,6 @@ fn fallback_copy_set(storage_cost: &[f64], w: &ObjectWorkload) -> Vec<usize> {
     vec![v]
 }
 
-/// A degenerate three-phase trace for a fallback placement.
-fn fallback_trace(set: Vec<usize>) -> PhaseTrace {
-    PhaseTrace {
-        after_phase1: set.clone(),
-        after_phase2: set.clone(),
-        after_phase3: set,
-    }
-}
-
 /// The paper's three-phase constant-factor approximation (Section 2).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ApproxSolver;
@@ -75,20 +63,30 @@ impl Solver for ApproxSolver {
          O(FL + n^2) per object, any network"
     }
 
+    /// Solves every object through [`place_object_with`] on the requested
+    /// metric source. The sparse backend
+    /// ([`MetricBackend::Sparse`](crate::request::MetricBackend)) gives each
+    /// object a truncated closure over a candidate ball around its clients,
+    /// so the dense `O(n^2)` APSP table is never built; it is
+    /// trajectory-identical to the dense backend whenever an object's ball
+    /// covers every node (the equivalence tests pin this).
     fn solve(&self, instance: &Instance, req: &SolveRequest) -> SolveReport {
-        if req.wants_sparse_metric() {
-            return self.solve_sparse(instance, req);
-        }
         let started = Instant::now();
         let cfg = req.approx_config();
-        let metric = instance.metric();
+        let opts = req.metric.sparse_opts();
+        let sparse = req.wants_sparse_metric();
+        let src = if sparse {
+            MetricSource::Sparse(&instance.graph, &opts)
+        } else {
+            MetricSource::Dense(instance.metric())
+        };
         // One facility-location workspace per worker thread, reused across
         // every object that worker processes. Objects are fanned out by
         // index so each can be paired with its warm phase-1 seed.
         let warm = req.fl.warm_placement.as_deref();
         let indices: Vec<usize> = (0..instance.objects.len()).collect();
         let expired_objects = AtomicUsize::new(0);
-        let results: Vec<(PhaseTrace, PhaseTimings)> = par_map_threads_with(
+        let results: Vec<PlaceOutcome> = par_map_threads_with(
             &indices,
             req.shard.max_threads,
             FlWorkspace::new,
@@ -100,125 +98,21 @@ impl Solver for ApproxSolver {
                     // optimized copy sets; this one gets the cheap fallback.
                     expired_objects.fetch_add(1, Ordering::Relaxed);
                     let set = fallback_copy_set(&instance.storage_cost, w);
-                    return (fallback_trace(set), PhaseTimings::default());
+                    let trace = PhaseTrace {
+                        after_phase1: set.clone(),
+                        after_phase2: set.clone(),
+                        after_phase3: set,
+                    };
+                    return PlaceOutcome {
+                        trace,
+                        ..PlaceOutcome::default()
+                    };
                 }
                 // One span per object wrapping the three per-phase spans
                 // the algorithm itself emits.
                 let span = telemetry::span(telemetry::spans::SOLVE_OBJECT);
-                let seed = warm.and_then(|sets| sets.get(x)).filter(|s| !s.is_empty());
-                let placed = match seed {
-                    Some(seed) => {
-                        place_object_warm_in(ws, metric, &instance.storage_cost, w, &cfg, seed)
-                    }
-                    None => place_object_in(ws, metric, &instance.storage_cost, w, &cfg),
-                };
-                span.finish();
-                placed
-            },
-        );
-        let timings = results
-            .iter()
-            .fold(PhaseTimings::default(), |acc, (_, t)| acc.add(t));
-        let sets: Vec<Vec<usize>> = results
-            .iter()
-            .map(|(tr, _)| tr.after_phase3.clone())
-            .collect();
-        let (p1, p2, p3) = results.iter().fold((0, 0, 0), |(a, b, c), (tr, _)| {
-            (
-                a + tr.after_phase1.len(),
-                b + tr.after_phase2.len(),
-                c + tr.after_phase3.len(),
-            )
-        });
-        let phases = vec![
-            PhaseStat::new(
-                "facility-location",
-                timings.facility,
-                format!(
-                    "{p1} copies opened ({}), {} moves / {} candidates",
-                    cfg.fl_solver.name(),
-                    timings.fl_moves,
-                    timings.fl_candidates
-                ),
-            ),
-            PhaseStat::new("radius-add", timings.radius_add, format!("-> {p2} copies")),
-            PhaseStat::new(
-                "radius-prune",
-                timings.radius_prune,
-                format!("-> {p3} copies"),
-            ),
-        ];
-        let traces = req
-            .collect_traces
-            .then(|| results.into_iter().map(|(tr, _)| tr).collect());
-        let mut meta = vec![
-            ("fl-backend", cfg.fl_solver.name().to_string()),
-            ("fl-moves", timings.fl_moves.to_string()),
-            ("fl-candidates", timings.fl_candidates.to_string()),
-            ("metric-backend", req.metric.backend.name().to_string()),
-        ];
-        if let Some(sets) = warm {
-            let seeded = sets.iter().take(indices.len()).filter(|s| !s.is_empty());
-            meta.push(("warm-seeded-objects", seeded.count().to_string()));
-        }
-        let expired = expired_objects.load(Ordering::Relaxed);
-        if expired > 0 {
-            meta.push(("deadline-fallback-objects", expired.to_string()));
-        }
-        let report = SolveReport::build(
-            self.name(),
-            instance,
-            req,
-            Placement::from_copy_sets(sets),
-            phases,
-            traces,
-            meta,
-            started,
-        );
-        if expired > 0 {
-            report.mark_degraded(true)
-        } else {
-            report
-        }
-    }
-}
-
-impl ApproxSolver {
-    /// The sub-quadratic sparse-metric path
-    /// ([`MetricBackend::Sparse`](crate::request::MetricBackend)): each
-    /// object gets a truncated closure over a candidate ball around its
-    /// clients, so the dense `O(n^2)` APSP table is never built.
-    /// Trajectory-identical to the dense path whenever an object's ball
-    /// covers every node (the equivalence tests pin this).
-    fn solve_sparse(&self, instance: &Instance, req: &SolveRequest) -> SolveReport {
-        let started = Instant::now();
-        let cfg = req.approx_config();
-        let opts = req.metric.sparse_opts();
-        let expired_objects = AtomicUsize::new(0);
-        let results: Vec<SparseOutcome> = par_map_threads_with(
-            &instance.objects,
-            req.shard.max_threads,
-            FlWorkspace::new,
-            |ws, w| {
-                let _ = faults::hit(faults::points::SOLVE_PHASE1);
-                if req.robust.expired(started) {
-                    expired_objects.fetch_add(1, Ordering::Relaxed);
-                    return SparseOutcome {
-                        trace: fallback_trace(fallback_copy_set(&instance.storage_cost, w)),
-                        timings: PhaseTimings::default(),
-                        metric_seconds: 0.0,
-                        candidates: 0,
-                    };
-                }
-                let span = telemetry::span(telemetry::spans::SOLVE_OBJECT);
-                let placed = place_object_sparse_in(
-                    ws,
-                    &instance.graph,
-                    &instance.storage_cost,
-                    w,
-                    &cfg,
-                    &opts,
-                );
+                let seed = warm.and_then(|sets| sets.get(x)).map(Vec::as_slice);
+                let placed = place_object_with(ws, src, &instance.storage_cost, w, &cfg, seed);
                 span.finish();
                 placed
             },
@@ -226,8 +120,6 @@ impl ApproxSolver {
         let timings = results
             .iter()
             .fold(PhaseTimings::default(), |acc, r| acc.add(&r.timings));
-        let metric_seconds: f64 = results.iter().map(|r| r.metric_seconds).sum();
-        let candidate_rows: usize = results.iter().map(|r| r.candidates).sum();
         let sets: Vec<Vec<usize>> = results
             .iter()
             .map(|r| r.trace.after_phase3.clone())
@@ -239,15 +131,20 @@ impl ApproxSolver {
                 c + r.trace.after_phase3.len(),
             )
         });
-        let phases = vec![
-            PhaseStat::new(
+        let candidate_rows: usize = results.iter().map(|r| r.candidates).sum();
+        let mut phases = Vec::new();
+        if sparse {
+            let metric_seconds: f64 = results.iter().map(|r| r.metric_seconds).sum();
+            phases.push(PhaseStat::new(
                 "metric-build",
                 metric_seconds,
                 format!(
                     "{candidate_rows} truncated closure rows over {} objects (sparse)",
                     instance.num_objects()
                 ),
-            ),
+            ));
+        }
+        phases.extend([
             PhaseStat::new(
                 "facility-location",
                 timings.facility,
@@ -264,17 +161,23 @@ impl ApproxSolver {
                 timings.radius_prune,
                 format!("-> {p3} copies"),
             ),
-        ];
-        let traces = req
-            .collect_traces
-            .then(|| results.into_iter().map(|r| r.trace).collect());
+        ]);
         let mut meta = vec![
             ("fl-backend", cfg.fl_solver.name().to_string()),
             ("fl-moves", timings.fl_moves.to_string()),
             ("fl-candidates", timings.fl_candidates.to_string()),
-            ("metric-backend", "sparse".to_string()),
-            ("sparse-candidate-rows", candidate_rows.to_string()),
+            ("metric-backend", req.metric.backend.name().to_string()),
         ];
+        if sparse {
+            meta.push(("sparse-candidate-rows", candidate_rows.to_string()));
+        }
+        if warm.is_some() {
+            let seeded = results.iter().filter(|r| r.warm_seeded).count();
+            meta.push(("warm-seeded-objects", seeded.to_string()));
+        }
+        let traces = req
+            .collect_traces
+            .then(|| results.into_iter().map(|r| r.trace).collect());
         let expired = expired_objects.load(Ordering::Relaxed);
         if expired > 0 {
             meta.push(("deadline-fallback-objects", expired.to_string()));

@@ -51,6 +51,7 @@ pub mod sharded;
 pub mod spec;
 
 pub use capacitated::CapacitatedSolver;
+pub use dmn_approx::FlSolverKind;
 pub use engines::{
     ApproxSolver, AutoSolver, BestSingleSolver, ExactRestrictedSolver, ExactSolver,
     FullReplicationSolver, GreedyLocalSolver, RandomKSolver, TreeDpSolver,

@@ -9,13 +9,10 @@ use crate::sharded::PartitionStrategy;
 /// Lemma-8 threshold factors). Grouped under [`SolveRequest::fl`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlOpts {
-    /// Phase-1 facility-location backend of the approximation algorithm.
+    /// Phase-1 facility-location backend of the approximation algorithm
+    /// ([`FlSolverKind::LocalSearchWarm`] starts the local search from
+    /// Mettu–Plaxton instead of the best single facility).
     pub solver: FlSolverKind,
-    /// Warm-start the phase-1 local search from Mettu–Plaxton instead of
-    /// the best single facility (only meaningful when `solver` is
-    /// [`FlSolverKind::LocalSearch`]; equivalent to selecting
-    /// [`FlSolverKind::LocalSearchWarm`] directly).
-    pub warm_start: bool,
     /// Phase-2 threshold factor (paper value 5; changing it voids Lemma 8).
     pub storage_add_factor: f64,
     /// Phase-3 threshold factor (paper value 4; changing it voids Lemma 8).
@@ -29,9 +26,10 @@ pub struct FlOpts {
     /// slot). An empty inner vec means "no seed for this object"; objects
     /// past the end of the outer vec run cold. Seeds are sanitized by the
     /// algorithm (out-of-range / forbidden nodes dropped, empty survivors
-    /// fall back cold), so stale sets are safe. Consumed by the dense
-    /// `approx` path only; non-local-search phase-1 backends and the
-    /// sparse path ignore it.
+    /// fall back cold; on the sparse backend, nodes outside the object's
+    /// candidate ball are dropped too), so stale sets are safe. Consumed by
+    /// `approx` on both metric backends; non-local-search phase-1 backends
+    /// ignore it.
     pub warm_placement: Option<Vec<Vec<usize>>>,
 }
 
@@ -39,7 +37,6 @@ impl Default for FlOpts {
     fn default() -> Self {
         FlOpts {
             solver: FlSolverKind::default(),
-            warm_start: false,
             storage_add_factor: 5.0,
             write_prune_factor: 4.0,
             skip_phase2: false,
@@ -134,10 +131,6 @@ pub struct MetricOpts {
     pub expansion: f64,
     /// Sparse only: floor on the candidate-ball size.
     pub min_candidates: usize,
-    /// Sparse only: bucketing epsilon of the phase-2 nearest-copy oracle.
-    /// `0` keeps the oracle exact (and the sparse trajectory identical to
-    /// dense whenever the ball covers the whole node set).
-    pub oracle_eps: f64,
 }
 
 impl Default for MetricOpts {
@@ -147,7 +140,6 @@ impl Default for MetricOpts {
             backend: MetricBackend::Dense,
             expansion: s.expansion,
             min_candidates: s.min_candidates,
-            oracle_eps: s.oracle_eps,
         }
     }
 }
@@ -172,7 +164,6 @@ impl MetricOpts {
         SparseOpts {
             expansion: self.expansion,
             min_candidates: self.min_candidates,
-            oracle_eps: self.oracle_eps,
         }
     }
 }
@@ -323,12 +314,6 @@ impl SolveRequest {
         self
     }
 
-    /// Toggles the Mettu–Plaxton warm start for the phase-1 local search.
-    pub fn fl_warm_start(mut self, warm: bool) -> Self {
-        self.fl.warm_start = warm;
-        self
-    }
-
     /// Seeds the phase-1 search per object from a previous placement's
     /// copy sets (see [`FlOpts::warm_placement`]) — the warm-start chain
     /// of the timeline runner.
@@ -430,13 +415,8 @@ impl SolveRequest {
     /// The [`ApproxConfig`] view of this request (the approximation
     /// algorithm's knobs).
     pub fn approx_config(&self) -> ApproxConfig {
-        let fl_solver = if self.fl.warm_start && self.fl.solver == FlSolverKind::LocalSearch {
-            FlSolverKind::LocalSearchWarm
-        } else {
-            self.fl.solver
-        };
         ApproxConfig {
-            fl_solver,
+            fl_solver: self.fl.solver,
             storage_add_factor: self.fl.storage_add_factor,
             write_prune_factor: self.fl.write_prune_factor,
             skip_phase2: self.fl.skip_phase2,
@@ -528,21 +508,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_knob_promotes_local_search() {
-        let req = SolveRequest::new().fl_warm_start(true);
-        assert_eq!(
-            req.approx_config().fl_solver,
-            FlSolverKind::LocalSearchWarm,
-            "warm start promotes the default local search"
-        );
-        // Explicit non-local-search backends are left alone.
-        let req = SolveRequest::new()
-            .fl_solver(FlSolverKind::MettuPlaxton)
-            .fl_warm_start(true);
-        assert_eq!(req.approx_config().fl_solver, FlSolverKind::MettuPlaxton);
-    }
-
-    #[test]
     fn shard_knobs_chain() {
         let req = SolveRequest::new()
             .shards(4)
@@ -585,7 +550,6 @@ mod tests {
         assert_eq!(dense.backend, MetricBackend::Dense);
         let sparse = MetricOpts::sparse();
         assert_eq!(sparse.backend, MetricBackend::Sparse);
-        assert_eq!(sparse.oracle_eps, 0.0, "exact oracle by default");
         let opts = sparse.sparse_opts();
         assert_eq!(opts.expansion, sparse.expansion);
         assert_eq!(opts.min_candidates, sparse.min_candidates);

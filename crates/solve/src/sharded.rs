@@ -297,25 +297,34 @@ impl Solver for ShardedSolver {
         let mut inner_req = req.clone();
         inner_req.cap.capacities = None;
         inner_req.shard.max_threads = Some(1);
+        let warm = inner_req.fl.warm_placement.take();
 
-        let subs: Vec<(Vec<usize>, Instance)> = parts
+        // `object_subset` renumbers the shard's objects 0.., so each shard
+        // gets the warm seeds of exactly the objects it owns, in its order.
+        let subs: Vec<(Vec<usize>, Instance, SolveRequest)> = parts
             .into_iter()
             .map(|idx| {
                 let sub = instance.object_subset(&idx);
-                (idx, sub)
+                let mut sub_req = inner_req.clone();
+                sub_req.fl.warm_placement = warm.as_ref().map(|sets| {
+                    idx.iter()
+                        .map(|&x| sets.get(x).cloned().unwrap_or_default())
+                        .collect()
+                });
+                (idx, sub, sub_req)
             })
             .collect();
         let shard_reports: Vec<SolveReport> = par_map_threads(
             &subs,
             req.shard.max_threads.or(Some(shard_count)),
-            |(_, sub)| inner.solve(sub, &inner_req),
+            |(_, sub, sub_req)| inner.solve(sub, sub_req),
         );
 
         // Scatter sub-placements (and traces, when every shard produced
         // them) back to the original object indices.
         let mut sets: Vec<Vec<usize>> = vec![Vec::new(); k];
         let mut traces = vec![None; k];
-        for ((idx, _), rep) in subs.iter().zip(&shard_reports) {
+        for ((idx, _, _), rep) in subs.iter().zip(&shard_reports) {
             for (j, &x) in idx.iter().enumerate() {
                 sets[x] = rep.placement.copies(j).to_vec();
                 if let Some(tr) = &rep.traces {
@@ -345,7 +354,7 @@ impl Solver for ShardedSolver {
             .iter()
             .zip(&shard_reports)
             .enumerate()
-            .map(|(s, ((idx, _), rep))| ShardStat {
+            .map(|(s, ((idx, _, _), rep))| ShardStat {
                 shard: s,
                 objects: idx.len(),
                 seconds: rep.wall_seconds,

@@ -5,10 +5,10 @@
 //! fast path (`FlSolverKind::LocalSearch`, the default) changes *nothing*
 //! about the answer — identical placements and costs through the registry,
 //! for every partition strategy of the sharded wrapper, with and without
-//! per-node capacities. The warm start (`LocalSearchWarm` /
-//! `SolveRequest::fl_warm_start`) is a different trajectory, so it is
-//! pinned the weaker way: valid placements, sharded == sequential, and
-//! FL move counters visible in the report.
+//! per-node capacities. The warm starts (`LocalSearchWarm`, and per-object
+//! seeds via `SolveRequest::warm_placement`) are different trajectories,
+//! so they are pinned the weaker way: valid placements, sharded ==
+//! sequential, and FL move counters visible in the report.
 
 use dmn_approx::FlSolverKind;
 use dmn_solve::{solvers, PartitionStrategy, SolveRequest};
@@ -64,27 +64,45 @@ fn registry_fast_path_matches_seed_local_search() {
 }
 
 /// The equivalence holds through `sharded:approx` for every partition
-/// strategy and for both starts (cold and warm), including capacitated
-/// requests (the capacity repair runs globally post-merge).
+/// strategy and for every start (cold, Mettu–Plaxton-seeded, and seeded
+/// per object from a placement), including capacitated requests (the
+/// capacity repair runs globally post-merge).
 #[test]
 fn sharded_capacitated_equivalence_for_all_strategies_and_starts() {
     let instance = scenario(20, 7, 5).build_instance();
     let n = instance.num_nodes();
     let approx = solvers::by_name("approx").expect("registered");
     let sharded = solvers::by_name("sharded:approx").expect("registered");
-    for warm in [false, true] {
+    // Seeds that differ from object to object, so a shard that hands an
+    // object another object's seed starts its search in the wrong place.
+    let random = solvers::by_name("random-k").expect("registered").solve(
+        &instance,
+        &SolveRequest::new().replication_degree(2).seed(13),
+    );
+    let seeds: Vec<Vec<usize>> = (0..instance.num_objects())
+        .map(|x| random.placement.copies(x).to_vec())
+        .collect();
+    let starts = [
+        ("cold", SolveRequest::new()),
+        (
+            "mettu-plaxton",
+            SolveRequest::new().fl_solver(FlSolverKind::LocalSearchWarm),
+        ),
+        ("placement", SolveRequest::new().warm_placement(seeds)),
+    ];
+    for (warm, start) in &starts {
         for capacities in [None, Some(vec![2usize; n])] {
-            let mut base_req = SolveRequest::new().fl_warm_start(warm);
+            let mut base_req = start.clone();
             if let Some(cap) = &capacities {
                 base_req = base_req.capacities(cap.clone());
             }
             // The sequential reference for this start: the seed local
             // search for the cold start, the (deterministic) incremental
-            // warm search for the warm one.
-            let ref_req = if warm {
-                base_req.clone()
-            } else {
+            // search from the same seeds for the warm ones.
+            let ref_req = if *warm == "cold" {
                 base_req.clone().fl_solver(FlSolverKind::LocalSearchRef)
+            } else {
+                base_req.clone()
             };
             let reference = approx.solve(&instance, &ref_req);
             for strategy in PartitionStrategy::ALL {
@@ -117,12 +135,9 @@ fn warm_start_is_deterministic_and_reports_fewer_moves() {
     let instance = scenario(28, 5, 17).build_instance();
     let approx = solvers::by_name("approx").expect("registered");
     let cold = approx.solve(&instance, &SolveRequest::new());
-    let warm1 = approx.solve(&instance, &SolveRequest::new().fl_warm_start(true));
-    let warm2 = approx.solve(
-        &instance,
-        &SolveRequest::new().fl_solver(FlSolverKind::LocalSearchWarm),
-    );
-    // The knob and the explicit kind are the same engine configuration.
+    let warm_req = SolveRequest::new().fl_solver(FlSolverKind::LocalSearchWarm);
+    let warm1 = approx.solve(&instance, &warm_req);
+    let warm2 = approx.solve(&instance, &warm_req);
     assert_eq!(warm1.placement, warm2.placement);
     assert_eq!(warm1.meta_value("fl-backend"), Some("local-search-warm"));
     let moves = |r: &dmn_solve::SolveReport| {

@@ -19,7 +19,9 @@
 //! repair falls back to the dense evaluator by design).
 
 use dmn_core::cost::evaluate;
-use dmn_solve::{solvers, MetricBackend, PartitionStrategy, SolveRequest};
+use dmn_solve::{
+    solvers, FlSolverKind, MetricBackend, PartitionStrategy, SolveReport, SolveRequest,
+};
 use dmn_workloads::{Scenario, TopologyKind, WorkloadParams};
 
 /// The cost ceiling truncated solves are held to, mirroring
@@ -58,6 +60,12 @@ fn sparse_req() -> SolveRequest {
     dense_req().metric_backend(MetricBackend::Sparse)
 }
 
+fn copy_sets(report: &SolveReport) -> Vec<Vec<usize>> {
+    (0..report.placement.num_objects())
+        .map(|x| report.placement.copies(x).to_vec())
+        .collect()
+}
+
 /// Full coverage on trees: the sparse trajectory is bit-identical.
 #[test]
 fn sparse_matches_dense_exactly_on_trees() {
@@ -77,7 +85,8 @@ fn sparse_matches_dense_exactly_on_trees() {
 }
 
 /// Full coverage on general (cyclic) graphs: still bit-identical — the
-/// guarantee is about the closure, not the topology.
+/// guarantee is about the closure, not the topology — and warm seeds
+/// reach both backends the same way.
 #[test]
 fn sparse_matches_dense_exactly_under_full_coverage() {
     for (topology, nodes) in [
@@ -94,6 +103,82 @@ fn sparse_matches_dense_exactly_under_full_coverage() {
             (sparse.cost.total() - dense.cost.total()).abs() < 1e-9,
             "{topology:?}"
         );
+
+        // Seeded from a Mettu–Plaxton solve: same placement and the same
+        // phase-1 trajectory (move count) on both backends.
+        let mp_req = dense_req().fl_solver(FlSolverKind::MettuPlaxton);
+        let seeds = copy_sets(&approx.solve(&instance, &mp_req));
+        let dense_warm = approx.solve(&instance, &dense_req().warm_placement(seeds.clone()));
+        let sparse_warm = approx.solve(&instance, &sparse_req().warm_placement(seeds));
+        assert_eq!(sparse_warm.placement, dense_warm.placement, "{topology:?}");
+        assert_eq!(
+            sparse_warm.meta_value("fl-moves"),
+            dense_warm.meta_value("fl-moves"),
+            "{topology:?}: the sparse backend must start from the seeds"
+        );
+        assert_eq!(sparse_warm.meta_value("warm-seeded-objects"), Some("4"));
+        assert_eq!(dense_warm.meta_value("warm-seeded-objects"), Some("4"));
+    }
+}
+
+/// A truncating workload seeded with nodes outside each object's ball
+/// and outside the graph: the unusable seed nodes are dropped and the
+/// solve still returns a valid placement.
+#[test]
+fn sparse_warm_seeds_outside_the_ball_are_dropped() {
+    let instance = scenario(TopologyKind::Grid { rows: 8, cols: 8 }, 64, 21, true).build_instance();
+    let n = instance.num_nodes();
+    let approx = solvers::by_name("approx").unwrap();
+    let cold = approx.solve(&instance, &sparse_req());
+    let rows = cold
+        .meta_value("sparse-candidate-rows")
+        .and_then(|v| v.parse::<usize>().ok())
+        .expect("sparse-candidate-rows reported");
+    assert!(rows < n * instance.num_objects(), "the balls must truncate");
+    // Each seed: the object's cold copies, every fifth node of the grid
+    // (most of them outside the ball), and two ids past the end.
+    let seeds: Vec<Vec<usize>> = copy_sets(&cold)
+        .into_iter()
+        .map(|mut set| {
+            set.extend((0..n).step_by(5));
+            set.extend([n, n + 7]);
+            set
+        })
+        .collect();
+    let warm = approx.solve(&instance, &sparse_req().warm_placement(seeds));
+    warm.placement.validate(n).unwrap();
+    assert!(warm.cost.total().is_finite());
+    assert_eq!(warm.meta_value("warm-seeded-objects"), Some("4"));
+}
+
+/// `warm-seeded-objects` counts only seeds that survive sanitizing: an
+/// object whose seed holds nothing but forbidden or out-of-range nodes
+/// runs cold and is not counted, on either backend.
+#[test]
+fn warm_seeded_objects_counts_only_usable_seeds() {
+    let mut instance =
+        scenario(TopologyKind::Grid { rows: 5, cols: 5 }, 25, 9, false).build_instance();
+    instance.storage_cost[3] = f64::INFINITY;
+    let approx = solvers::by_name("approx").unwrap();
+    let mut seeds = vec![vec![3, 99]; instance.num_objects()];
+    seeds[0] = vec![3, 12];
+    seeds[1] = vec![];
+    for req in [dense_req(), sparse_req()] {
+        let cold = approx.solve(&instance, &req);
+        let warm = approx.solve(&instance, &req.clone().warm_placement(seeds.clone()));
+        let backend = req.metric.backend;
+        assert_eq!(
+            warm.meta_value("warm-seeded-objects"),
+            Some("1"),
+            "{backend}"
+        );
+        for x in 1..instance.num_objects() {
+            assert_eq!(
+                warm.placement.copies(x),
+                cold.placement.copies(x),
+                "{backend}: object {x} must run cold"
+            );
+        }
     }
 }
 

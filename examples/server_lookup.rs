@@ -32,8 +32,8 @@ fn main() {
     instance.push_object(corner);
 
     // Solve once, then serve lookups from the precomputed nearest-copy
-    // table. Re-solves run warm-started on a background thread once
-    // accumulated drift passes 2% of the baseline request mass.
+    // table. Re-solves run on a background thread once accumulated drift
+    // passes 2% of the baseline request mass.
     let server = ServerHandle::start(
         &instance,
         ServerConfig {
