@@ -14,36 +14,21 @@ use crate::sparse_path::{candidate_set, SparseOpts};
 /// [`Solver`](dmn_facility::Solver) under its phase-1 name).
 pub use dmn_facility::Solver as FlSolverKind;
 
+/// Phase-2 threshold (Section 2.2): add a copy at `v` while every copy is
+/// farther than `STORAGE_ADD_FACTOR · rs(v)`. Lemma 8's constants hold
+/// for exactly this value.
+pub const STORAGE_ADD_FACTOR: f64 = 5.0;
+
+/// Phase-3 threshold (Section 2.2): delete the copy at `u` when a surviving
+/// copy `v` satisfies `ct(u, v) ≤ WRITE_PRUNE_FACTOR · rw(u)`. Lemma 8's
+/// constants hold for exactly this value.
+pub const WRITE_PRUNE_FACTOR: f64 = 4.0;
+
 /// Configuration of the approximation algorithm.
-///
-/// The defaults are the paper's constants; they are exposed for the
-/// ablation experiments (changing them voids the Lemma-8 guarantee).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ApproxConfig {
     /// Phase-1 facility location solver.
     pub fl_solver: FlSolverKind,
-    /// Phase-2 threshold: add a copy at `v` when the nearest copy is
-    /// farther than `storage_add_factor * rs(v)`. Paper value: 5.
-    pub storage_add_factor: f64,
-    /// Phase-3 threshold: delete a copy at `u` when a surviving copy `v`
-    /// satisfies `ct(u, v) <= write_prune_factor * rw(u)`. Paper value: 4.
-    pub write_prune_factor: f64,
-    /// Skip phase 2 (ablation).
-    pub skip_phase2: bool,
-    /// Skip phase 3 (ablation).
-    pub skip_phase3: bool,
-}
-
-impl Default for ApproxConfig {
-    fn default() -> Self {
-        ApproxConfig {
-            fl_solver: FlSolverKind::default(),
-            storage_add_factor: 5.0,
-            write_prune_factor: 4.0,
-            skip_phase2: false,
-            skip_phase3: false,
-        }
-    }
 }
 
 /// Copy sets after each phase, for the phase-ablation experiment (E8).
@@ -189,7 +174,6 @@ pub fn place_object_with(
             FlSolverKind::LocalSearch
                 | FlSolverKind::LocalSearchWarm
                 | FlSolverKind::LocalSearchRef
-                | FlSolverKind::LocalSearchAgg
         )
     });
     match src {
@@ -270,10 +254,6 @@ fn run_phases(
     let fl = FlInstance::new(metric, storage_cost, masses);
     let ls_cfg = LocalSearchConfig::default();
     let (sol, fl_stats) = match (cfg.fl_solver, seed) {
-        (FlSolverKind::LocalSearchAgg, Some(seed)) => {
-            let s = ws.local_search_aggregated_from(&fl, &seed, &ls_cfg);
-            (s, ws.last_stats())
-        }
         // Only local-search backends receive a seed.
         (_, Some(seed)) => {
             let s = ws.local_search_from(&fl, &seed, &ls_cfg);
@@ -285,10 +265,6 @@ fn run_phases(
         }
         (FlSolverKind::LocalSearchWarm, None) => {
             let s = dmn_facility::local_search_warm_in(ws, &fl, &ls_cfg);
-            (s, ws.last_stats())
-        }
-        (FlSolverKind::LocalSearchAgg, None) => {
-            let s = ws.local_search_aggregated(&fl, &ls_cfg);
             (s, ws.last_stats())
         }
         (other, None) => (other.solve(&fl), SearchStats::default()),
@@ -308,32 +284,30 @@ fn run_phases(
     // a copy at v. (Order does not matter for the guarantee; we scan
     // round-robin until stable.) The oracle answers each query in O(1)
     // with exactly `metric.nearest_in`'s distance.
-    if !cfg.skip_phase2 {
-        let n = metric.len();
-        let mut oracle = NearestCopyOracle::new(n);
-        oracle.reset(metric, &copies);
-        loop {
-            let mut added = false;
-            for v in 0..n {
-                // One search serves both the membership test and the
-                // insertion point (copies is untouched in between).
-                let pos = match copies.binary_search(&v) {
-                    Ok(_) => continue,
-                    Err(pos) => pos,
-                };
-                let rs = radii.storage_radius[v];
-                if !rs.is_finite() {
-                    continue; // storage at v can never pay off
-                }
-                if oracle.nearest_dist(v) > cfg.storage_add_factor * rs {
-                    copies.insert(pos, v);
-                    oracle.add_copy(metric, v);
-                    added = true;
-                }
+    let n = metric.len();
+    let mut oracle = NearestCopyOracle::new(n);
+    oracle.reset(metric, &copies);
+    loop {
+        let mut added = false;
+        for v in 0..n {
+            // One search serves both the membership test and the
+            // insertion point (copies is untouched in between).
+            let pos = match copies.binary_search(&v) {
+                Ok(_) => continue,
+                Err(pos) => pos,
+            };
+            let rs = radii.storage_radius[v];
+            if !rs.is_finite() {
+                continue; // storage at v can never pay off
             }
-            if !added {
-                break;
+            if oracle.nearest_dist(v) > STORAGE_ADD_FACTOR * rs {
+                copies.insert(pos, v);
+                oracle.add_copy(metric, v);
+                added = true;
             }
+        }
+        if !added {
+            break;
         }
     }
     let after_phase2 = copies.clone();
@@ -343,7 +317,7 @@ fn run_phases(
     // Phase 3: scan copy holders in ascending write radius; the current
     // node keeps its copy and deletes every other copy u with
     // ct(u, v) <= 4·rw(u).
-    if !cfg.skip_phase3 && w_total > 0.0 {
+    if w_total > 0.0 {
         let mut order: Vec<NodeId> = copies.clone();
         order.sort_by(|&a, &b| {
             radii.write_radius[a]
@@ -359,7 +333,7 @@ fn run_phases(
             for (k, &u) in order.iter().enumerate() {
                 if k != i && alive[k] {
                     let ru = radii.write_radius[u];
-                    if metric.dist(u, v) <= cfg.write_prune_factor * ru {
+                    if metric.dist(u, v) <= WRITE_PRUNE_FACTOR * ru {
                         alive[k] = false;
                     }
                 }
@@ -444,18 +418,11 @@ mod tests {
         let m = apsp(&g);
         let mut w = uniform_reads(8);
         w.writes[0] = 100.0; // massive write traffic
-        let cheap = place_object(&m, &[0.5; 8], &w, &ApproxConfig::default());
-        // With pruning disabled, cheap storage would replicate; writes must
-        // shrink the copy set.
-        let no_prune = place_object(
-            &m,
-            &[0.5; 8],
-            &w,
-            &ApproxConfig {
-                skip_phase3: true,
-                ..ApproxConfig::default()
-            },
-        );
+        let cfg = ApproxConfig::default();
+        let (tr, _) = place_object_in(&mut FlWorkspace::new(), &m, &[0.5; 8], &w, &cfg);
+        // Before pruning, cheap storage replicates; writes must shrink the
+        // copy set.
+        let (cheap, no_prune) = (&tr.after_phase3, &tr.after_phase2);
         assert!(cheap.len() <= no_prune.len(), "{cheap:?} vs {no_prune:?}");
         assert!(cheap.len() <= 2, "heavy writes: {cheap:?}");
     }
@@ -569,7 +536,6 @@ mod tests {
         let w = uniform_reads(6);
         let cfg = ApproxConfig {
             fl_solver: FlSolverKind::MettuPlaxton,
-            ..ApproxConfig::default()
         };
         let cold = place_object(&m, &[1.0; 6], &w, &cfg);
         let mut ws = FlWorkspace::new();

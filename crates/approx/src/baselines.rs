@@ -5,7 +5,7 @@
 //! true objective, a strong but guarantee-free heuristic).
 //!
 //! All baselines consume a whole [`Instance`] and produce a [`Placement`]
-//! covering every object — the same surface the [`dmn-solve`] `Solver`
+//! covering every object — the same surface the `dmn-solve` `Solver`
 //! trait expects — and the non-trivial ones evaluate candidates under the
 //! true objective (storage + read + MST-multicast update cost), so
 //! transmission costs are never silently ignored.

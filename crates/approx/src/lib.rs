@@ -24,7 +24,7 @@ pub mod sparse_path;
 
 pub use algorithm::{
     place_all, place_object, place_object_in, place_object_with, ApproxConfig, FlSolverKind,
-    MetricSource, PhaseTimings, PhaseTrace, PlaceOutcome,
+    MetricSource, PhaseTimings, PhaseTrace, PlaceOutcome, STORAGE_ADD_FACTOR, WRITE_PRUNE_FACTOR,
 };
 pub use capacity::{enforce_capacities, respects_capacities, CapacityError};
 pub use proper::{check_proper, ProperReport};

@@ -25,7 +25,6 @@ fn bench_place(c: &mut Criterion) {
         let cs: Vec<f64> = (0..n).map(|v| 3.0 + (v % 3) as f64).collect();
         let cfg = ApproxConfig {
             fl_solver: FlSolverKind::MettuPlaxton,
-            ..Default::default()
         };
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| place_object(&metric, &cs, &w, &cfg))

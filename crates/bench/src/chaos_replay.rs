@@ -268,7 +268,7 @@ pub fn chaos_replay(scenario: &Scenario, lookups_override: Option<usize>) -> Cha
         ServerConfig {
             resolve_threshold: drift.resolve_threshold,
             resilience: ResilienceConfig {
-                solve_timeout_seconds: Some(watchdog_seconds),
+                solve_timeout_seconds: watchdog_seconds,
                 max_retries: 5,
                 backoff_base_seconds: 0.01,
                 backoff_max_seconds: 0.05,

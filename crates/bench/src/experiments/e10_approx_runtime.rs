@@ -39,12 +39,10 @@ pub fn run() -> Report {
         let cs: Vec<f64> = (0..n).map(|v| 3.0 + (v % 3) as f64).collect();
         let mp_cfg = ApproxConfig {
             fl_solver: FlSolverKind::MettuPlaxton,
-            ..Default::default()
         };
         let (_, mp_s) = time(|| place_object(&metric, &cs, &w, &mp_cfg));
         let ls_cfg = ApproxConfig {
             fl_solver: FlSolverKind::LocalSearch,
-            ..Default::default()
         };
         // Local search is the slowest; skip it at the largest size.
         let ls_ms = if n <= 512 {

@@ -32,7 +32,6 @@ pub fn run() -> Report {
     );
     let cfg = ApproxConfig {
         fl_solver: FlSolverKind::MettuPlaxton,
-        ..ApproxConfig::default()
     };
 
     let mut total_viol = 0usize;

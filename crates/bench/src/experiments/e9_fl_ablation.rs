@@ -47,10 +47,7 @@ pub fn run() -> Report {
         &["solver", "total cost", "copies", "time (ms)"],
     );
     for (kind, name) in SOLVERS {
-        let cfg = ApproxConfig {
-            fl_solver: kind,
-            ..ApproxConfig::default()
-        };
+        let cfg = ApproxConfig { fl_solver: kind };
         let (result, secs) = time(|| {
             let mut total = 0.0;
             let mut copies = 0usize;
@@ -76,10 +73,7 @@ pub fn run() -> Report {
         &["solver", "mean ratio", "max ratio"],
     );
     for (kind, name) in SOLVERS {
-        let cfg = ApproxConfig {
-            fl_solver: kind,
-            ..ApproxConfig::default()
-        };
+        let cfg = ApproxConfig { fl_solver: kind };
         let mut ratios = Vec::new();
         for seed in 0..30u64 {
             let mut r = rng(9_100 + seed);

@@ -46,7 +46,8 @@
 //!   candidate balls genuinely truncate), and — release builds only — the
 //!   committed 10,000-node `scenarios/grid_10k.json` must solve through
 //!   `solvers::by_name("approx")` with the sparse backend in at most
-//!   [`MAX_SCALE_WALL_SECONDS`] (the artifact's `scale` section).
+//!   [`MAX_SCALE_WALL_SECONDS`] (the artifact's `scale` section). Debug
+//!   builds attach no scale run, so `scale_ok` stays false there.
 //!
 //! The measured `phase1_speedup` (seed phase-1 seconds / incremental
 //! phase-1 seconds, both single-threaded) is recorded in the artifact; the
@@ -322,15 +323,15 @@ pub struct SmokeOutcome {
     /// in release builds; debug runs and the scaled-down unit tests skip
     /// the multi-second solve).
     pub scale: Option<ScaleOutcome>,
-    /// `sparse_within_eps` and, when a scale run is attached, its wall
-    /// clock staying under [`MAX_SCALE_WALL_SECONDS`].
+    /// False until a scale run is attached; then `sparse_within_eps` and
+    /// the run's wall clock staying under [`MAX_SCALE_WALL_SECONDS`].
     pub scale_ok: bool,
     /// The chaos replay, when one was attached ([`run`] always attaches
     /// one; the scaled-down unit tests attach their own or skip it).
     pub chaos: Option<chaos_replay::ChaosOutcome>,
     /// True when the attached chaos replay passed its gate — every fault
     /// class fired and was absorbed ([`chaos_replay::ChaosOutcome::gate`]).
-    /// Vacuously true when no chaos run is attached.
+    /// False until a chaos run is attached.
     pub chaos_ok: bool,
 }
 
@@ -626,10 +627,11 @@ pub fn run_with(scenario: &Scenario, shards: usize) -> SmokeOutcome {
         ("obs_ok", Json::Bool(obs_ok)),
         ("timeline_ok", Json::Bool(timeline_ok)),
         ("phase1_speedup", Json::Num(phase1_speedup)),
-        ("scale_ok", Json::Bool(sparse_within_eps)),
+        // Set by `attach_scale` (release builds of `run`).
+        ("scale_ok", Json::Bool(false)),
         // Both are filled by `attach_chaos` (`run` always attaches).
         ("chaos", Json::Null),
-        ("chaos_ok", Json::Bool(true)),
+        ("chaos_ok", Json::Bool(false)),
     ]);
     SmokeOutcome {
         json,
@@ -650,9 +652,9 @@ pub fn run_with(scenario: &Scenario, shards: usize) -> SmokeOutcome {
         timeline: timeline_report,
         timeline_ok,
         scale: None,
-        scale_ok: sparse_within_eps,
+        scale_ok: false,
         chaos: None,
-        chaos_ok: true,
+        chaos_ok: false,
     }
 }
 
@@ -785,20 +787,38 @@ mod tests {
             !outcome.timeline.slots.is_empty(),
             "timeline gate solved at least one slot"
         );
-        assert!(outcome.scale_ok, "no scale run attached: ratio gate only");
+        assert!(!outcome.scale_ok, "false until a scale run is attached");
         assert!(outcome.scale.is_none(), "run_with never runs the 10k solve");
         assert!(
             outcome.chaos.is_none(),
             "run_with never runs the chaos replay"
         );
-        assert!(outcome.chaos_ok, "vacuously true before a chaos attach");
-        assert!(outcome.gate());
+        assert!(!outcome.chaos_ok, "false until a chaos run is attached");
+        assert!(!outcome.gate(), "the gate waits for the chaos replay");
 
         // Fold in a scaled-down chaos replay: the verdict and the full
         // fault ledger land in the artifact.
         outcome.attach_chaos(chaos_replay::chaos_replay(&chaos_scenario(), Some(4_000)));
         assert!(outcome.chaos_ok, "chaos replay failed: {:?}", outcome.chaos);
         assert!(outcome.gate());
+
+        // A synthetic scale run: only an in-budget one sets `scale_ok`.
+        let scale = |within_budget| ScaleOutcome {
+            name: "synthetic".into(),
+            nodes: 10_000,
+            objects: 32,
+            wall_seconds: 1.0,
+            metric_build_seconds: 0.5,
+            total_cost: 1.0,
+            candidate_rows: 100.0,
+            within_budget,
+        };
+        outcome.attach_scale(scale(false));
+        assert!(!outcome.scale_ok, "an over-budget scale run fails");
+        assert_eq!(outcome.json.get("scale_ok"), Some(&Json::Bool(false)));
+        outcome.attach_scale(scale(true));
+        assert!(outcome.scale_ok);
+        assert_eq!(outcome.json.get("scale_ok"), Some(&Json::Bool(true)));
         let rendered = outcome.json.to_string_pretty();
         for needle in [
             "\"dynamic\"",

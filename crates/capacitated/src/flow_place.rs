@@ -27,7 +27,7 @@ use dmn_graph::NodeId;
 /// every candidate must have finite storage cost).
 ///
 /// Returns `None` when no feasible assignment exists within the candidate
-/// sets (callers widen the candidates or fall back to the greedy repair).
+/// sets (callers fall back to the greedy repair).
 pub fn single_copy_flow_placement(
     instance: &Instance,
     cap: &[usize],
@@ -127,50 +127,6 @@ pub fn all_allowed(instance: &Instance) -> Vec<NodeId> {
         .collect()
 }
 
-/// Candidate sets for the flow seed: the copies the raw placement already
-/// wants, widened by the `breadth` cheapest single-copy hosts per object
-/// (`breadth == 0` means every allowed node — exact, the default at
-/// experiment scale).
-pub fn seed_candidates(instance: &Instance, raw: &Placement, breadth: usize) -> Vec<Vec<NodeId>> {
-    let allowed = all_allowed(instance);
-    let metric = instance.metric();
-    (0..instance.num_objects())
-        .map(|x| {
-            if breadth == 0 || breadth >= allowed.len() {
-                return allowed.clone();
-            }
-            let mut scored: Vec<(f64, NodeId)> = allowed
-                .iter()
-                .map(|&v| {
-                    let c = evaluate_object(
-                        metric,
-                        &instance.storage_cost,
-                        &instance.objects[x],
-                        &[v],
-                        UpdatePolicy::MstMulticast,
-                    )
-                    .total();
-                    (c, v)
-                })
-                .collect();
-            scored.sort_by(|a, b| {
-                a.0.partial_cmp(&b.0)
-                    .expect("finite costs")
-                    .then(a.1.cmp(&b.1))
-            });
-            let mut set: Vec<NodeId> = scored.iter().take(breadth).map(|&(_, v)| v).collect();
-            for &v in raw.copies(x) {
-                if instance.storage_cost[v].is_finite() {
-                    set.push(v);
-                }
-            }
-            set.sort_unstable();
-            set.dedup();
-            set
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,20 +190,5 @@ mod tests {
         let cands: Vec<Vec<NodeId>> = vec![all_allowed(&inst); 3];
         assert!(single_copy_flow_placement(&inst, &[1, 1, 0, 0], &cands).is_none());
         assert!(single_copy_flow_placement(&inst, &[1, 1, 1, 0], &cands).is_some());
-    }
-
-    #[test]
-    fn candidate_breadth_keeps_raw_copies() {
-        let inst = instance_with_hot_node(2);
-        let raw = Placement::from_copy_sets(vec![vec![3], vec![0]]);
-        let cands = seed_candidates(&inst, &raw, 1);
-        for (x, set) in cands.iter().enumerate() {
-            for &v in raw.copies(x) {
-                assert!(set.contains(&v), "object {x} lost its raw copy {v}");
-            }
-            assert!(set.len() <= 2, "breadth 1 + raw copy");
-        }
-        let wide = seed_candidates(&inst, &raw, 0);
-        assert!(wide.iter().all(|s| s.len() == 4));
     }
 }

@@ -38,5 +38,5 @@ pub mod flow_place;
 pub mod search;
 
 pub use assignment::{assign_global, assign_object, nearest_assignment, Assignment};
-pub use flow_place::{all_allowed, seed_candidates, single_copy_flow_placement};
+pub use flow_place::{all_allowed, single_copy_flow_placement};
 pub use search::{capacitated_local_search, CapSearchConfig, CapSearchStats};

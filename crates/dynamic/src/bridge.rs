@@ -126,7 +126,7 @@ impl StaticOracle {
     /// [`StaticOracle::place_on`] for callers that only hold a metric: the
     /// instance is synthesized as the complete graph over the metric (whose
     /// shortest paths are the metric itself, injected exactly, so
-    /// metric-driven engines behave identically to [`place_on`]).
+    /// metric-driven engines behave identically to [`place_on`](Self::place_on)).
     ///
     /// # Errors
     /// [`Unsupported`] when the wrapped engine cannot run on the synthetic

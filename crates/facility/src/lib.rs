@@ -47,8 +47,8 @@ pub use greedy::greedy;
 pub use instance::{FlInstance, FlSolution};
 pub use jain_vazirani::jain_vazirani;
 pub use local_search::{
-    local_search, local_search_aggregated, local_search_from, local_search_reference,
-    local_search_warm, local_search_warm_in, FlWorkspace, LocalSearchConfig, SearchStats,
+    local_search, local_search_from, local_search_reference, local_search_warm,
+    local_search_warm_in, FlWorkspace, LocalSearchConfig, SearchStats,
 };
 pub use mettu_plaxton::mettu_plaxton;
 pub use nearest_copy::NearestCopyOracle;
@@ -70,10 +70,6 @@ pub enum Solver {
     /// The original from-scratch local search (the seed implementation),
     /// kept as the equivalence reference and perf baseline.
     LocalSearchRef,
-    /// Aggregated-gain local search: one pass per candidate add prices
-    /// every swap against it (Whitaker); cheapest per iteration, not
-    /// trajectory-identical to [`Solver::LocalSearch`].
-    LocalSearchAgg,
     /// Mettu–Plaxton radius greedy (3-approximation).
     MettuPlaxton,
     /// Jain–Vazirani primal–dual (3-approximation).
@@ -86,11 +82,10 @@ pub enum Solver {
 
 impl Solver {
     /// Every solver, in presentation order.
-    pub const ALL: [Solver; 8] = [
+    pub const ALL: [Solver; 7] = [
         Solver::LocalSearch,
         Solver::LocalSearchWarm,
         Solver::LocalSearchRef,
-        Solver::LocalSearchAgg,
         Solver::MettuPlaxton,
         Solver::JainVazirani,
         Solver::Greedy,
@@ -103,7 +98,6 @@ impl Solver {
             Solver::LocalSearch => "local-search",
             Solver::LocalSearchWarm => "local-search-warm",
             Solver::LocalSearchRef => "local-search-ref",
-            Solver::LocalSearchAgg => "local-search-agg",
             Solver::MettuPlaxton => "mettu-plaxton",
             Solver::JainVazirani => "jain-vazirani",
             Solver::Greedy => "greedy",
@@ -122,25 +116,10 @@ impl Solver {
             Solver::LocalSearch => local_search(inst, &LocalSearchConfig::default()),
             Solver::LocalSearchWarm => local_search_warm(inst, &LocalSearchConfig::default()),
             Solver::LocalSearchRef => local_search_reference(inst, &LocalSearchConfig::default()),
-            Solver::LocalSearchAgg => local_search_aggregated(inst, &LocalSearchConfig::default()),
             Solver::MettuPlaxton => mettu_plaxton(inst),
             Solver::JainVazirani => jain_vazirani(inst),
             Solver::Greedy => greedy(inst),
             Solver::Exact => exact(inst),
         }
-    }
-
-    /// All practical (polynomial-time) solvers with distinct algorithms
-    /// (the reference local search is excluded: it is the same algorithm
-    /// as [`Solver::LocalSearch`], only slower).
-    pub fn all_polynomial() -> [Solver; 6] {
-        [
-            Solver::LocalSearch,
-            Solver::LocalSearchWarm,
-            Solver::LocalSearchAgg,
-            Solver::MettuPlaxton,
-            Solver::JainVazirani,
-            Solver::Greedy,
-        ]
     }
 }

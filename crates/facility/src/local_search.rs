@@ -119,10 +119,6 @@ pub struct FlWorkspace {
     /// so reading the untransposed `d(f, v)` row would not be
     /// bit-equivalent).
     trans: Vec<f64>,
-    /// Per-open-position connection deltas of the aggregated pricing pass.
-    agg_delta: Vec<f64>,
-    /// Node id → position in the current open set (`usize::MAX` = closed).
-    open_pos: Vec<usize>,
     /// Counters of the most recent run.
     stats: SearchStats,
 }
@@ -169,50 +165,6 @@ impl FlWorkspace {
             "warm start contains a forbidden site"
         );
         self.search(inst, open, cfg)
-    }
-
-    /// Aggregated-gain local search: one `O(|clients|)` pass per closed
-    /// candidate prices the add *and every swap against it* (Whitaker's
-    /// trick — the per-open connection delta of "my nearest closed" is
-    /// accumulated while scoring the add), dropping an iteration from
-    /// `O(|sites| · |open| · |clients|)` to `O(|sites| · |clients|)`.
-    ///
-    /// Deltas are summed in a different floating-point order than the
-    /// reference's per-candidate passes, so the trajectory is *not*
-    /// bit-identical to [`Self::local_search`]; the accepted move is
-    /// re-priced exactly before being taken, so every step is a genuine
-    /// improvement and reported costs stay exact.
-    pub fn local_search_aggregated(
-        &mut self,
-        inst: &FlInstance,
-        cfg: &LocalSearchConfig,
-    ) -> FlSolution {
-        self.prepare(inst);
-        let start = best_single(inst, &self.sites);
-        self.search_aggregated(inst, vec![start], cfg)
-    }
-
-    /// [`Self::local_search_aggregated`] seeded from an arbitrary facility
-    /// set (sorted + deduplicated internally; all sites must be allowed).
-    ///
-    /// # Panics
-    /// Panics when `initial` is empty or contains a forbidden site.
-    pub fn local_search_aggregated_from(
-        &mut self,
-        inst: &FlInstance,
-        initial: &[NodeId],
-        cfg: &LocalSearchConfig,
-    ) -> FlSolution {
-        self.prepare(inst);
-        let mut open: Vec<NodeId> = initial.to_vec();
-        open.sort_unstable();
-        open.dedup();
-        assert!(!open.is_empty(), "warm start needs at least one facility");
-        assert!(
-            open.iter().all(|&f| inst.open_cost[f].is_finite()),
-            "warm start contains a forbidden site"
-        );
-        self.search_aggregated(inst, open, cfg)
     }
 
     /// Refreshes the client/site lists and the transposed metric for
@@ -296,97 +248,6 @@ impl FlWorkspace {
             self.stats.candidates += candidates;
             match best {
                 Some((mv, c)) => {
-                    self.apply(inst, &mut open, mv);
-                    cost = c;
-                    self.stats.moves += 1;
-                }
-                None => break,
-            }
-        }
-        FlSolution { open, cost }
-    }
-
-    /// The aggregated search loop (see [`Self::local_search_aggregated`]).
-    fn search_aggregated(
-        &mut self,
-        inst: &FlInstance,
-        mut open: Vec<NodeId>,
-        cfg: &LocalSearchConfig,
-    ) -> FlSolution {
-        let n = inst.len();
-        let mut cost = inst.total_cost(&open);
-        self.rebuild_tables(inst, &open);
-        for _ in 0..cfg.max_iterations {
-            let threshold = cost * (1.0 - cfg.min_relative_gain);
-            let mut best: Option<(Move, f64)> = None;
-            let mut candidates = 0usize;
-            let consider = |mv: Move, c: f64, best: &mut Option<(Move, f64)>| {
-                if c < threshold && best.as_ref().is_none_or(|(_, bc)| c < *bc) {
-                    *best = Some((mv, c));
-                }
-            };
-            self.open_pos.clear();
-            self.open_pos.resize(n, usize::MAX);
-            for (i, &g) in open.iter().enumerate() {
-                self.open_pos[g] = i;
-            }
-            // Drops price exactly as in the reference: |open| cheap passes.
-            if open.len() > 1 {
-                for i in 0..open.len() {
-                    candidates += 1;
-                    let c = self.price_drop(inst, &open, i);
-                    consider(Move::Drop(i), c, &mut best);
-                }
-            }
-            // One pass per closed candidate prices its add and all swaps.
-            let mut delta = std::mem::take(&mut self.agg_delta);
-            for &f in &self.sites {
-                if open.binary_search(&f).is_ok() {
-                    continue;
-                }
-                delta.clear();
-                delta.resize(open.len(), 0.0);
-                let col = self.col(inst, f);
-                let mut conn = 0.0;
-                for &v in &self.clients {
-                    let dvf = col[v];
-                    let served = self.near_d[v].min(dvf);
-                    let w = inst.demand[v];
-                    conn += w * served;
-                    // If v's nearest also closed, v falls back to the
-                    // better of its second-nearest and the new facility.
-                    let i = self.open_pos[self.nearest[v]];
-                    delta[i] += w * (self.second_d[v].min(dvf) - served);
-                }
-                candidates += 1 + open.len();
-                consider(
-                    Move::Add(f),
-                    opening_cost_edited(inst, &open, None, Some(f)) + conn,
-                    &mut best,
-                );
-                for i in 0..open.len() {
-                    consider(
-                        Move::Swap(i, f),
-                        opening_cost_edited(inst, &open, Some(i), Some(f)) + conn + delta[i],
-                        &mut best,
-                    );
-                }
-            }
-            self.agg_delta = delta;
-            self.stats.candidates += candidates;
-            match best {
-                Some((mv, _)) => {
-                    // Re-price the chosen move in the reference fp order;
-                    // only a genuine improvement is taken, keeping the loop
-                    // monotone (and therefore terminating).
-                    let c = match mv {
-                        Move::Add(f) => self.price_add(inst, &open, f),
-                        Move::Drop(i) => self.price_drop(inst, &open, i),
-                        Move::Swap(i, f) => self.price_swap(inst, &open, i, f),
-                    };
-                    if c >= threshold {
-                        break;
-                    }
                     self.apply(inst, &mut open, mv);
                     cost = c;
                     self.stats.moves += 1;
@@ -581,14 +442,6 @@ pub fn local_search_from(
     cfg: &LocalSearchConfig,
 ) -> FlSolution {
     FlWorkspace::new().local_search_from(inst, initial, cfg)
-}
-
-/// Runs the aggregated-gain local search (see
-/// [`FlWorkspace::local_search_aggregated`]): same move set as
-/// [`local_search`], `O(|open|)` cheaper per iteration, not guaranteed to
-/// follow the reference trajectory bit for bit.
-pub fn local_search_aggregated(inst: &FlInstance, cfg: &LocalSearchConfig) -> FlSolution {
-    FlWorkspace::new().local_search_aggregated(inst, cfg)
 }
 
 /// Runs the incremental local search warm-started from the Mettu–Plaxton
@@ -799,49 +652,6 @@ mod tests {
         let b2 = local_search(&i2, &cfg);
         assert_eq!(a1, b1);
         assert_eq!(a2, b2);
-    }
-
-    #[test]
-    fn aggregated_matches_reference_cost_on_fixtures() {
-        let m = Metric::from_line(&[0.0, 1.0, 3.0, 7.0, 100.0, 103.0]);
-        for open_cost in [1.0, 4.0, 20.0, 200.0] {
-            let inst = FlInstance::new(&m, vec![open_cost; 6], vec![2.0, 0.0, 1.0, 3.0, 5.0, 1.0]);
-            let agg = local_search_aggregated(&inst, &LocalSearchConfig::default());
-            let seed = local_search_reference(&inst, &LocalSearchConfig::default());
-            // Same local optimum on these fixtures; cost is always the
-            // exact cost of the returned open set.
-            assert_eq!(agg.open, seed.open, "open_cost {open_cost}");
-            assert!(
-                (agg.cost - inst.total_cost(&agg.open)).abs() < 1e-9,
-                "reported cost is exact"
-            );
-        }
-    }
-
-    #[test]
-    fn aggregated_prices_fewer_candidates_per_converged_search() {
-        // Pricing work: the aggregated pass touches each client once per
-        // candidate site instead of once per (site, open) pair, so the
-        // search converges to a solution no worse than the reference's
-        // with a valid exact cost.
-        let m = Metric::from_line(&[0.0, 2.0, 4.0, 9.0, 30.0, 33.0, 60.0]);
-        let inst = FlInstance::new(&m, vec![6.0; 7], vec![1.0, 2.0, 1.0, 4.0, 2.0, 1.0, 3.0]);
-        let mut ws = FlWorkspace::new();
-        let agg = ws.local_search_aggregated(&inst, &LocalSearchConfig::default());
-        assert!(ws.last_stats().moves > 0);
-        assert!((agg.cost - inst.total_cost(&agg.open)).abs() < 1e-9);
-        let exact = local_search(&inst, &LocalSearchConfig::default());
-        assert!(agg.cost <= exact.cost * 1.05 + 1e-9, "no quality cliff");
-    }
-
-    #[test]
-    fn aggregated_from_respects_warm_start() {
-        let m = Metric::from_line(&[0.0, 2.0, 4.0, 50.0, 52.0]);
-        let inst = FlInstance::new(&m, vec![3.0; 5], vec![1.0; 5]);
-        let mut ws = FlWorkspace::new();
-        let s = ws.local_search_aggregated_from(&inst, &[0, 4], &LocalSearchConfig::default());
-        assert!(!s.open.is_empty());
-        assert!((s.cost - inst.total_cost(&s.open)).abs() < 1e-9);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! `O(|copies|)` scan per query of `Metric::nearest_in`, whose value it
 //! returns bit for bit.
 
-use dmn_graph::{MetricView, NodeId};
+use dmn_graph::{Metric, NodeId};
 
 /// Per-node nearest-copy distance with incremental adds.
 #[derive(Debug, Clone)]
@@ -29,7 +29,7 @@ impl NearestCopyOracle {
     }
 
     /// Rebuilds the oracle from a copy set.
-    pub fn reset<M: MetricView + ?Sized>(&mut self, metric: &M, copies: &[NodeId]) {
+    pub fn reset(&mut self, metric: &Metric, copies: &[NodeId]) {
         self.clear();
         for &c in copies {
             self.add_copy(metric, c);
@@ -41,7 +41,7 @@ impl NearestCopyOracle {
     /// Distances are read as `d(v, c)` — the querying node's row — to match
     /// `nearest_in` reads exactly (metric closures are only symmetric up to
     /// an ulp).
-    pub fn add_copy<M: MetricView + ?Sized>(&mut self, metric: &M, c: NodeId) {
+    pub fn add_copy(&mut self, metric: &Metric, c: NodeId) {
         for (v, slot) in self.dist.iter_mut().enumerate() {
             let d = metric.dist(v, c);
             if d < *slot {

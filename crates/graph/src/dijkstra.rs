@@ -40,10 +40,11 @@ impl ShortestPaths {
     }
 }
 
+/// Min-heap entry of the Dijkstra searches in this crate.
 #[derive(PartialEq)]
-struct HeapItem {
-    dist: f64,
-    node: NodeId,
+pub(crate) struct HeapItem {
+    pub(crate) dist: f64,
+    pub(crate) node: NodeId,
 }
 
 impl Eq for HeapItem {}

@@ -43,9 +43,9 @@ pub mod tree;
 pub use dijkstra::{apsp, shortest_paths, ShortestPaths};
 pub use dsu::DisjointSets;
 pub use graph::{EdgeId, Graph, NodeId};
-pub use metric::{Metric, MetricView};
+pub use metric::Metric;
 pub use mst::{kruskal, metric_mst, metric_mst_weight, prim, MstResult};
-pub use sparse::{ball_candidates, nearest_seed_distances, truncated_closure, SparseClosure};
+pub use sparse::{ball_candidates, truncated_closure};
 pub use steiner::{dreyfus_wagner, steiner_2approx_weight};
 pub use tree::RootedTree;
 

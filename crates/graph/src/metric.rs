@@ -7,49 +7,6 @@
 
 use crate::graph::NodeId;
 
-/// Read-only access to a metric over `len()` points.
-///
-/// Engines that only *query* distances should take a `MetricView` instead of
-/// the concrete dense [`Metric`], so they work unchanged against the
-/// on-demand sparse closure ([`crate::sparse::SparseClosure`]) that never
-/// materializes the n×n array.
-pub trait MetricView {
-    /// Number of points.
-    fn len(&self) -> usize;
-
-    /// Distance between `u` and `v`.
-    fn dist(&self, u: NodeId, v: NodeId) -> f64;
-
-    /// True when the metric has no points.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Distance from `v` to the closest node in `set`, together with the
-    /// argmin (first minimum wins). Returns `None` when `set` is empty.
-    fn nearest_in(&self, v: NodeId, set: &[NodeId]) -> Option<(NodeId, f64)> {
-        set.iter()
-            .map(|&c| (c, self.dist(v, c)))
-            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("distances are not NaN"))
-    }
-}
-
-impl MetricView for Metric {
-    #[inline]
-    fn len(&self) -> usize {
-        Metric::len(self)
-    }
-
-    #[inline]
-    fn dist(&self, u: NodeId, v: NodeId) -> f64 {
-        Metric::dist(self, u, v)
-    }
-
-    fn nearest_in(&self, v: NodeId, set: &[NodeId]) -> Option<(NodeId, f64)> {
-        Metric::nearest_in(self, v, set)
-    }
-}
-
 /// A dense symmetric distance matrix over `n` nodes (row-major).
 #[derive(Debug, Clone)]
 pub struct Metric {

@@ -7,7 +7,7 @@
 
 use crate::dsu::DisjointSets;
 use crate::graph::{EdgeId, Graph, NodeId};
-use crate::metric::MetricView;
+use crate::metric::Metric;
 
 /// A spanning tree (or forest) expressed by edge ids into the source graph.
 #[derive(Debug, Clone)]
@@ -92,7 +92,7 @@ pub fn prim(g: &Graph) -> MstResult {
 ///
 /// This is the paper's update multicast tree over a copy set: a write sends
 /// one message along the branches of this tree to reach every copy.
-pub fn metric_mst<M: MetricView + ?Sized>(metric: &M, nodes: &[NodeId]) -> Vec<(NodeId, NodeId)> {
+pub fn metric_mst(metric: &Metric, nodes: &[NodeId]) -> Vec<(NodeId, NodeId)> {
     let k = nodes.len();
     if k <= 1 {
         return Vec::new();
@@ -129,7 +129,7 @@ pub fn metric_mst<M: MetricView + ?Sized>(metric: &M, nodes: &[NodeId]) -> Vec<(
 }
 
 /// Total weight of the metric MST over `nodes` (0 for fewer than two nodes).
-pub fn metric_mst_weight<M: MetricView + ?Sized>(metric: &M, nodes: &[NodeId]) -> f64 {
+pub fn metric_mst_weight(metric: &Metric, nodes: &[NodeId]) -> f64 {
     metric_mst(metric, nodes)
         .iter()
         .map(|&(u, v)| metric.dist(u, v))

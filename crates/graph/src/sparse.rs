@@ -1,55 +1,23 @@
-//! Sparse, on-demand views of the metric closure.
+//! Sparse pieces of the metric closure.
 //!
-//! The dense [`apsp`] closure is `O(n^2)` memory and `O(n (n+m) log n)`
-//! time — fine at a few hundred nodes, prohibitive at 10^4+. The sparse
-//! solve path never materializes the full matrix; instead it works with
+//! The dense [`apsp`](crate::apsp) closure is `O(n^2)` memory and
+//! `O(n (n+m) log n)` time — fine at a few hundred nodes, prohibitive at
+//! 10^4+. The sparse solve path never materializes the full matrix; instead
+//! it works per object with
 //!
-//! * [`truncated_closure`]: the exact restriction of the metric closure to a
-//!   small target set, built by one early-stopped Dijkstra per target —
-//!   bit-identical to `apsp(g).restrict(targets)` because every row *is* a
-//!   Dijkstra run from that target,
 //! * [`ball_candidates`]: a candidate facility set grown around a client
 //!   cloud by multi-source Dijkstra (the "interesting" nodes per object in
-//!   the doubling-metric-decomposition sense),
-//! * [`nearest_seed_distances`]: exact nearest-copy distances for cost
-//!   evaluation, one multi-source Dijkstra instead of n single-source runs,
-//! * [`SparseClosure`]: a lazily row-cached [`MetricView`] over the whole
-//!   graph for callers that query few rows of an otherwise huge metric.
+//!   the doubling-metric-decomposition sense), and
+//! * [`truncated_closure`]: the exact restriction of the metric closure to
+//!   that set, built by one early-stopped Dijkstra per target —
+//!   bit-identical to `apsp(g).restrict(targets)` because every row *is* a
+//!   Dijkstra run from that target.
 
-use std::cell::RefCell;
 use std::collections::BinaryHeap;
-use std::collections::HashMap;
 
+use crate::dijkstra::HeapItem;
 use crate::graph::{Graph, NodeId};
-use crate::metric::{Metric, MetricView};
-
-use std::cmp::Ordering;
-
-#[derive(PartialEq)]
-struct HeapItem {
-    dist: f64,
-    node: NodeId,
-}
-
-impl Eq for HeapItem {}
-
-impl Ord for HeapItem {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap on distance via reversed comparison; distances are finite
-        // non-negative, never NaN.
-        other
-            .dist
-            .partial_cmp(&self.dist)
-            .expect("distances are not NaN")
-            .then_with(|| other.node.cmp(&self.node))
-    }
-}
-
-impl PartialOrd for HeapItem {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
+use crate::metric::Metric;
 
 /// Exact metric closure restricted to `targets`: `result.dist(i, j)` is the
 /// shortest-path distance between `targets[i]` and `targets[j]` in `g`.
@@ -156,82 +124,6 @@ pub fn ball_candidates(g: &Graph, seeds: &[NodeId], target_size: usize) -> Vec<N
     out
 }
 
-/// Distance from every node to its nearest seed, by one multi-source
-/// Dijkstra (`f64::INFINITY` where no seed is reachable). This evaluates
-/// nearest-copy read costs without any all-pairs table.
-pub fn nearest_seed_distances(g: &Graph, seeds: &[NodeId]) -> Vec<f64> {
-    let n = g.num_nodes();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut heap = BinaryHeap::with_capacity(seeds.len().max(64));
-    for &s in seeds {
-        if dist[s] != 0.0 {
-            dist[s] = 0.0;
-            heap.push(HeapItem { dist: 0.0, node: s });
-        }
-    }
-    while let Some(HeapItem { dist: dv, node: v }) = heap.pop() {
-        if dv > dist[v] {
-            continue;
-        }
-        for a in g.neighbors(v) {
-            let nd = dv + a.w;
-            if nd < dist[a.to] {
-                dist[a.to] = nd;
-                heap.push(HeapItem {
-                    dist: nd,
-                    node: a.to,
-                });
-            }
-        }
-    }
-    dist
-}
-
-/// A lazily materialized [`MetricView`] over the whole graph: rows of the
-/// metric closure are computed by Dijkstra on first touch and cached, so
-/// querying `r` distinct source rows costs `O(r (n + m) log n)` time and
-/// `O(r n)` memory instead of the dense closure's `O(n^2)`.
-pub struct SparseClosure<'g> {
-    graph: &'g Graph,
-    rows: RefCell<HashMap<NodeId, Box<[f64]>>>,
-}
-
-impl<'g> SparseClosure<'g> {
-    /// Wraps `graph` with an empty row cache.
-    pub fn new(graph: &'g Graph) -> Self {
-        SparseClosure {
-            graph,
-            rows: RefCell::new(HashMap::new()),
-        }
-    }
-
-    /// Number of source rows materialized so far.
-    pub fn rows_built(&self) -> usize {
-        self.rows.borrow().len()
-    }
-
-    fn with_row<R>(&self, u: NodeId, f: impl FnOnce(&[f64]) -> R) -> R {
-        if let Some(row) = self.rows.borrow().get(&u) {
-            return f(row);
-        }
-        let sp = crate::dijkstra::shortest_paths(self.graph, u);
-        let row: Box<[f64]> = sp.dist.into_boxed_slice();
-        let out = f(&row);
-        self.rows.borrow_mut().insert(u, row);
-        out
-    }
-}
-
-impl MetricView for SparseClosure<'_> {
-    fn len(&self) -> usize {
-        self.graph.num_nodes()
-    }
-
-    fn dist(&self, u: NodeId, v: NodeId) -> f64 {
-        self.with_row(u, |row| row[v])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,32 +168,5 @@ mod tests {
         // Asking for at least the whole graph returns every node.
         let all = ball_candidates(&g, &seeds, 100);
         assert_eq!(all.len(), 36);
-    }
-
-    #[test]
-    fn nearest_seed_distances_match_dense_mins() {
-        let g = generators::grid(4, 4, |u, v| 1.0 + ((u * v) % 5) as f64 * 0.5);
-        let seeds = vec![2, 9, 14];
-        let dense = apsp(&g);
-        let near = nearest_seed_distances(&g, &seeds);
-        for v in 0..g.num_nodes() {
-            let want = dense.nearest_in(v, &seeds).unwrap().1;
-            assert_eq!(near[v].to_bits(), want.to_bits());
-        }
-    }
-
-    #[test]
-    fn sparse_closure_caches_rows() {
-        let g = generators::grid(4, 4, |_, _| 1.0);
-        let dense = apsp(&g);
-        let lazy = SparseClosure::new(&g);
-        assert_eq!(lazy.rows_built(), 0);
-        for v in 0..g.num_nodes() {
-            assert_eq!(lazy.dist(3, v).to_bits(), dense.dist(3, v).to_bits());
-        }
-        assert_eq!(lazy.rows_built(), 1, "one source row serves a full scan");
-        assert_eq!(MetricView::len(&lazy), 16);
-        let (arg, d) = lazy.nearest_in(0, &[5, 10]).unwrap();
-        assert_eq!((arg, d), (5, 2.0));
     }
 }

@@ -121,10 +121,8 @@ pub const LOOKUP_SAMPLE_INTERVAL: u64 = 256;
 pub struct ResilienceConfig {
     /// Watchdog timeout for a single re-solve attempt, in seconds. A
     /// solve still running past it is abandoned (its result discarded)
-    /// and counted as a failure. `None` disables the watchdog — the
-    /// solve then runs on the worker thread itself instead of a
-    /// supervised one.
-    pub solve_timeout_seconds: Option<f64>,
+    /// and counted as a failure. `f64::INFINITY` never abandons a solve.
+    pub solve_timeout_seconds: f64,
     /// Consecutive failed attempts before the worker stops auto-retrying
     /// (events re-arm it; `resolve_now` always makes a fresh attempt).
     pub max_retries: u32,
@@ -146,7 +144,7 @@ pub struct ResilienceConfig {
 impl Default for ResilienceConfig {
     fn default() -> Self {
         ResilienceConfig {
-            solve_timeout_seconds: Some(30.0),
+            solve_timeout_seconds: 30.0,
             max_retries: 3,
             backoff_base_seconds: 0.05,
             backoff_max_seconds: 2.0,
@@ -1122,9 +1120,9 @@ impl Inner {
     }
 
     /// Runs one solve attempt behind the crash boundary: panics are
-    /// caught, injected transients surface as errors, and (with a
-    /// configured watchdog) a stuck solve is abandoned on a supervised
-    /// thread instead of wedging the worker.
+    /// caught, injected transients surface as errors, and the watchdog
+    /// abandons a stuck solve on its supervised thread instead of wedging
+    /// the worker.
     fn attempt_solve(inner: &Arc<Inner>, instance: Instance) -> Result<SolveOutput, SolveFailure> {
         let solver_name = inner.cfg.solver.clone();
         let request = inner.cfg.request.clone();
@@ -1143,31 +1141,27 @@ impl Inner {
                 report.degraded,
             ))
         };
-        match inner.cfg.resilience.solve_timeout_seconds {
-            Some(limit) => {
-                let (tx, rx) = std::sync::mpsc::channel();
-                std::thread::Builder::new()
-                    .name("dmn-server-solve".into())
-                    .spawn(move || {
-                        // Catch inside the supervised thread so a panicking
-                        // solve still reports back instead of being
-                        // indistinguishable from a hang.
-                        let outcome = catch_unwind(AssertUnwindSafe(|| run(&instance)));
-                        let _ = tx.send(outcome);
-                    })
-                    .expect("spawn supervised solve");
-                match rx.recv_timeout(Duration::from_secs_f64(limit.max(0.0))) {
-                    Ok(Ok(result)) => result,
-                    Ok(Err(payload)) => Err(SolveFailure::panic(payload)),
-                    // The abandoned thread's eventual send lands in a
-                    // dropped channel and is discarded.
-                    Err(_) => Err(SolveFailure::timeout(limit)),
-                }
-            }
-            None => match catch_unwind(AssertUnwindSafe(|| run(&instance))) {
-                Ok(result) => result,
-                Err(payload) => Err(SolveFailure::panic(payload)),
-            },
+        let limit = inner.cfg.resilience.solve_timeout_seconds;
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::Builder::new()
+            .name("dmn-server-solve".into())
+            .spawn(move || {
+                // Catch inside the supervised thread so a panicking solve
+                // still reports back instead of being indistinguishable
+                // from a hang.
+                let outcome = catch_unwind(AssertUnwindSafe(|| run(&instance)));
+                let _ = tx.send(outcome);
+            })
+            .expect("spawn supervised solve");
+        // An infinite (or overflowing) limit saturates, and `recv_timeout`
+        // blocks outright when its deadline overflows.
+        let wait = Duration::try_from_secs_f64(limit.max(0.0)).unwrap_or(Duration::MAX);
+        match rx.recv_timeout(wait) {
+            Ok(Ok(result)) => result,
+            Ok(Err(payload)) => Err(SolveFailure::panic(payload)),
+            // The abandoned thread's eventual send lands in a dropped
+            // channel and is discarded.
+            Err(_) => Err(SolveFailure::timeout(limit)),
         }
     }
 }
@@ -1622,7 +1616,7 @@ mod tests {
             background: false,
             ..ServerConfig::default()
         };
-        cfg.resilience.solve_timeout_seconds = Some(0.05);
+        cfg.resilience.solve_timeout_seconds = 0.05;
         let server = test_server_with(cfg);
         server
             .apply(&Event::DemandDelta {
@@ -1654,6 +1648,27 @@ mod tests {
         server.resolve_now();
         assert_eq!(server.epoch(), 2, "recovery after the stall");
         assert_eq!(server.health().consecutive_failures, 0);
+    }
+
+    #[test]
+    fn infinite_watchdog_never_abandons_a_solve() {
+        let _serial = faults::exclusive();
+        let mut cfg = ServerConfig {
+            background: false,
+            ..ServerConfig::default()
+        };
+        cfg.resilience.solve_timeout_seconds = f64::INFINITY;
+        let server = test_server_with(cfg);
+        server
+            .apply(&Event::DemandDelta {
+                object: 0,
+                node: 2,
+                read_delta: 3.0,
+                write_delta: 0.0,
+            })
+            .unwrap();
+        assert_eq!(server.resolve_now(), 2);
+        assert_eq!(server.health().timeouts, 0);
     }
 
     /// The health read path must be lock-free: `status()` and `health()`

@@ -13,8 +13,8 @@
 //! 2. **two seeds** — the greedy repair of the inner placement, and the
 //!    *flow seed* (`dmn_capacitated::single_copy_flow_placement`): the
 //!    exact optimal capacitated single-copy placement by min-cost
-//!    circulation over `SolveRequest::cap_candidates` hosts per object;
-//!    the cheaper feasible seed wins;
+//!    circulation over every finite-storage host for each object; the
+//!    cheaper feasible seed wins;
 //! 3. **capacitated local search**
 //!    (`dmn_capacitated::capacitated_local_search`) — feasibility-
 //!    preserving add/drop/swap refinement on the full objective, pricing
@@ -33,7 +33,7 @@ use std::time::Instant;
 
 use dmn_approx::enforce_capacities;
 use dmn_capacitated::{
-    assign_global, capacitated_local_search, seed_candidates, single_copy_flow_placement,
+    all_allowed, assign_global, capacitated_local_search, single_copy_flow_placement,
     CapSearchConfig,
 };
 use dmn_core::cost::evaluate;
@@ -258,7 +258,7 @@ pub(crate) fn finish(instance: &Instance, req: &SolveRequest, raw: Placement) ->
     let repair_secs = clock.elapsed().as_secs_f64();
 
     let clock = Instant::now();
-    let candidates = seed_candidates(instance, &raw, req.cap.candidates);
+    let candidates = vec![all_allowed(instance); instance.num_objects()];
     let flow_seed = single_copy_flow_placement(instance, cap, &candidates);
     let flow_seed_cost = flow_seed.as_ref().map(cost_of);
     let flow_secs = clock.elapsed().as_secs_f64();

@@ -17,9 +17,8 @@
 //!   [`CostBreakdown`](dmn_core::cost::CostBreakdown), per-phase timings
 //!   and traces, and solver metadata, with a table-style
 //!   [`Display`](std::fmt::Display) rendering;
-//! * [`solvers`] — the string-keyed registry
-//!   ([`solvers::by_name`](registry::solvers::by_name),
-//!   [`solvers::all`](registry::solvers::all)) enumerating every engine.
+//! * [`solvers`] — the string-keyed registry ([`solvers::by_name`],
+//!   [`solvers::all`]) enumerating every engine.
 //!
 //! ```
 //! use dmn_core::instance::{Instance, ObjectWorkload};

@@ -20,7 +20,10 @@ use crate::SolveRequest;
 pub struct PhaseStat {
     /// Phase name (e.g. `facility-location`, `radius-add`).
     pub name: &'static str,
-    /// Wall-clock seconds spent in the phase, summed over objects.
+    /// Seconds spent in the phase, summed over the per-object times.
+    /// Objects are timed on parallel worker threads, so this is summed
+    /// busy time, not wall-clock time, and can exceed
+    /// [`SolveReport::wall_seconds`].
     pub seconds: f64,
     /// Free-form detail (copy counts, backend, ...).
     pub detail: String,

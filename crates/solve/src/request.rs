@@ -5,22 +5,14 @@ use dmn_core::cost::UpdatePolicy;
 
 use crate::sharded::PartitionStrategy;
 
-/// Knobs of the paper's three-phase approximation (phase-1 backend and the
-/// Lemma-8 threshold factors). Grouped under [`SolveRequest::fl`].
-#[derive(Debug, Clone, PartialEq)]
+/// Knobs of the paper's three-phase approximation (phase-1 backend and
+/// warm seeds). Grouped under [`SolveRequest::fl`].
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FlOpts {
     /// Phase-1 facility-location backend of the approximation algorithm
     /// ([`FlSolverKind::LocalSearchWarm`] starts the local search from
     /// Mettu–Plaxton instead of the best single facility).
     pub solver: FlSolverKind,
-    /// Phase-2 threshold factor (paper value 5; changing it voids Lemma 8).
-    pub storage_add_factor: f64,
-    /// Phase-3 threshold factor (paper value 4; changing it voids Lemma 8).
-    pub write_prune_factor: f64,
-    /// Skip the radius-add phase (ablation).
-    pub skip_phase2: bool,
-    /// Skip the radius-prune phase (ablation).
-    pub skip_phase3: bool,
     /// Per-object warm phase-1 seeds, aligned with the instance's object
     /// list (typically each object's copy set from the previous time
     /// slot). An empty inner vec means "no seed for this object"; objects
@@ -33,19 +25,6 @@ pub struct FlOpts {
     pub warm_placement: Option<Vec<Vec<usize>>>,
 }
 
-impl Default for FlOpts {
-    fn default() -> Self {
-        FlOpts {
-            solver: FlSolverKind::default(),
-            storage_add_factor: 5.0,
-            write_prune_factor: 4.0,
-            skip_phase2: false,
-            skip_phase3: false,
-            warm_placement: None,
-        }
-    }
-}
-
 /// Capacity-model knobs (per-node copy caps and service-load budgets).
 /// Grouped under [`SolveRequest::cap`].
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -55,11 +34,6 @@ pub struct CapOpts {
     /// `cap:<inner>` engines instead optimize under the constraint
     /// natively and only pass the repair as a no-op feasibility check).
     pub capacities: Option<Vec<usize>>,
-    /// Candidate-pool breadth per object for the capacitated flow seed:
-    /// the `candidates` cheapest single-copy hosts plus the inner engine's
-    /// own copies. `0` (the default) means every finite-storage node —
-    /// the flow seed is then exact over the full node set.
-    pub candidates: usize,
     /// Per-node *service-load* budgets (max request mass served by the
     /// copies on a node). When set, the capacitated engines run the
     /// cross-object global assignment flow on their final placement and
@@ -122,49 +96,17 @@ impl std::fmt::Display for MetricBackend {
 }
 
 /// Distance-closure knobs. Grouped under [`SolveRequest::metric`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricOpts {
     /// Dense cached APSP (default) or per-object truncated closures.
     pub backend: MetricBackend,
-    /// Sparse only: candidate-ball size as a multiple of the object's
-    /// client count (clamped to at least `min_candidates`, at most `n`).
-    pub expansion: f64,
-    /// Sparse only: floor on the candidate-ball size.
-    pub min_candidates: usize,
-}
-
-impl Default for MetricOpts {
-    fn default() -> Self {
-        let s = SparseOpts::default();
-        MetricOpts {
-            backend: MetricBackend::Dense,
-            expansion: s.expansion,
-            min_candidates: s.min_candidates,
-        }
-    }
 }
 
 impl MetricOpts {
-    /// The exact dense backend (the default).
-    pub fn dense() -> Self {
-        MetricOpts::default()
-    }
-
-    /// The sub-quadratic sparse backend with its default ball parameters.
-    pub fn sparse() -> Self {
-        MetricOpts {
-            backend: MetricBackend::Sparse,
-            ..MetricOpts::default()
-        }
-    }
-
-    /// The [`SparseOpts`] view of these knobs (what the sparse placement
-    /// path in `dmn-approx` consumes).
+    /// The candidate-ball parameters the sparse placement path in
+    /// `dmn-approx` consumes: the fixed [`SparseOpts`] defaults.
     pub fn sparse_opts(&self) -> SparseOpts {
-        SparseOpts {
-            expansion: self.expansion,
-            min_candidates: self.min_candidates,
-        }
+        SparseOpts::default()
     }
 }
 
@@ -193,14 +135,13 @@ impl RobustOpts {
 /// Options consumed by [`Solver::solve`](crate::Solver::solve).
 ///
 /// One request type serves every engine; each engine reads the fields it
-/// understands and ignores the rest (the approximation algorithm reads the
-/// phase knobs, `random-k` reads `seed` and `replication_degree`, the
-/// capacity repair applies to all). Options cluster into typed groups —
+/// understands and ignores the rest (the approximation algorithm reads
+/// `fl`, `random-k` reads `seed` and `replication_degree`, the capacity
+/// repair applies to all). Options cluster into typed groups —
 /// [`FlOpts`] (`fl`), [`CapOpts`] (`cap`), [`ShardOpts`] (`shard`),
-/// [`MetricOpts`] (`metric`) — with a handful of engine-agnostic fields
-/// kept flat. Construct with [`SolveRequest::new`] and chain the builder
-/// methods (each flat builder forwards into its group, so pre-grouping
-/// call sites compile unchanged):
+/// [`MetricOpts`] (`metric`), [`RobustOpts`] (`robust`) — with a handful
+/// of engine-agnostic fields kept flat. Construct with
+/// [`SolveRequest::new`] and chain the builder methods:
 ///
 /// ```
 /// use dmn_core::cost::UpdatePolicy;
@@ -226,13 +167,13 @@ pub struct SolveRequest {
     /// Collect per-object per-phase copy-set traces in the report (engines
     /// without phase structure return `None` regardless).
     pub collect_traces: bool,
-    /// Approximation-algorithm knobs (phase-1 backend, thresholds).
+    /// Approximation-algorithm knobs (phase-1 backend, warm seeds).
     pub fl: FlOpts,
-    /// Capacity-model knobs (copy caps, flow-seed breadth, load budgets).
+    /// Capacity-model knobs (copy caps, load budgets).
     pub cap: CapOpts,
     /// Shard-fan-out knobs (count, partition strategy, thread cap).
     pub shard: ShardOpts,
-    /// Distance-closure knobs (dense vs sparse, ball parameters).
+    /// Distance-closure knobs (dense vs sparse).
     pub metric: MetricOpts,
     /// Robustness knobs (solve deadline, degraded-mode fallback).
     pub robust: RobustOpts,
@@ -261,46 +202,12 @@ impl SolveRequest {
         SolveRequest::default()
     }
 
-    // ---- grouped builders ------------------------------------------------
-
-    /// Replaces the approximation-algorithm option group wholesale.
-    pub fn fl_opts(mut self, fl: FlOpts) -> Self {
-        self.fl = fl;
-        self
-    }
-
-    /// Replaces the capacity-model option group wholesale.
-    pub fn cap_opts(mut self, cap: CapOpts) -> Self {
-        self.cap = cap;
-        self
-    }
-
-    /// Replaces the shard option group wholesale.
-    pub fn shard_opts(mut self, shard: ShardOpts) -> Self {
-        self.shard = shard;
-        self
-    }
-
-    /// Replaces the distance-closure option group wholesale.
-    pub fn metric_opts(mut self, metric: MetricOpts) -> Self {
-        self.metric = metric;
-        self
-    }
-
-    /// Replaces the robustness option group wholesale.
-    pub fn robust_opts(mut self, robust: RobustOpts) -> Self {
-        self.robust = robust;
-        self
-    }
-
-    /// Selects the distance-closure backend, keeping the group's other
-    /// knobs (`Sparse` turns on the sub-quadratic per-object path).
+    /// Selects the distance-closure backend (`Sparse` turns on the
+    /// sub-quadratic per-object path).
     pub fn metric_backend(mut self, backend: MetricBackend) -> Self {
         self.metric.backend = backend;
         self
     }
-
-    // ---- flat builders (forwarding shims into the groups) ----------------
 
     /// Sets the cost-accounting policy.
     pub fn policy(mut self, policy: UpdatePolicy) -> Self {
@@ -322,25 +229,6 @@ impl SolveRequest {
         self
     }
 
-    /// Sets the phase-2/phase-3 threshold factors.
-    pub fn phase_factors(mut self, storage_add: f64, write_prune: f64) -> Self {
-        self.fl.storage_add_factor = storage_add;
-        self.fl.write_prune_factor = write_prune;
-        self
-    }
-
-    /// Toggles the radius-add phase.
-    pub fn skip_phase2(mut self, skip: bool) -> Self {
-        self.fl.skip_phase2 = skip;
-        self
-    }
-
-    /// Toggles the radius-prune phase.
-    pub fn skip_phase3(mut self, skip: bool) -> Self {
-        self.fl.skip_phase3 = skip;
-        self
-    }
-
     /// Sets the RNG seed for randomized engines.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -357,13 +245,6 @@ impl SolveRequest {
     /// Constrains per-node copy counts (applied to every engine's output).
     pub fn capacities(mut self, cap: Vec<usize>) -> Self {
         self.cap.capacities = Some(cap);
-        self
-    }
-
-    /// Sets the flow-seed candidate breadth of the capacitated engines
-    /// (`0` = every finite-storage node).
-    pub fn cap_candidates(mut self, breadth: usize) -> Self {
-        self.cap.candidates = breadth;
         self
     }
 
@@ -417,10 +298,6 @@ impl SolveRequest {
     pub fn approx_config(&self) -> ApproxConfig {
         ApproxConfig {
             fl_solver: self.fl.solver,
-            storage_add_factor: self.fl.storage_add_factor,
-            write_prune_factor: self.fl.write_prune_factor,
-            skip_phase2: self.fl.skip_phase2,
-            skip_phase3: self.fl.skip_phase3,
         }
     }
 
@@ -439,8 +316,6 @@ mod tests {
         let req = SolveRequest::new()
             .policy(UpdatePolicy::UnicastStar)
             .fl_solver(FlSolverKind::Greedy)
-            .phase_factors(6.0, 3.0)
-            .skip_phase2(true)
             .seed(7)
             .replication_degree(2)
             .capacities(vec![1, 1, 1])
@@ -448,23 +323,18 @@ mod tests {
         assert_eq!(req.policy, UpdatePolicy::UnicastStar);
         let cfg = req.approx_config();
         assert_eq!(cfg.fl_solver, FlSolverKind::Greedy);
-        assert_eq!(cfg.storage_add_factor, 6.0);
-        assert_eq!(cfg.write_prune_factor, 3.0);
-        assert!(cfg.skip_phase2 && !cfg.skip_phase3);
         assert_eq!(req.cap.capacities.as_deref(), Some(&[1usize, 1, 1][..]));
     }
 
     #[test]
     fn defaults_are_the_paper_constants() {
         let req = SolveRequest::new();
-        assert_eq!(req.fl.storage_add_factor, 5.0);
-        assert_eq!(req.fl.write_prune_factor, 4.0);
+        assert_eq!(dmn_approx::STORAGE_ADD_FACTOR, 5.0);
+        assert_eq!(dmn_approx::WRITE_PRUNE_FACTOR, 4.0);
         assert_eq!(req.policy, UpdatePolicy::MstMulticast);
-        assert!(!req.fl.skip_phase2 && !req.fl.skip_phase3);
         assert_eq!(req.shard.count, 0, "0 = auto (one shard per CPU)");
         assert_eq!(req.shard.partition, PartitionStrategy::RoundRobin);
         assert_eq!(req.shard.max_threads, None);
-        assert_eq!(req.cap.candidates, 0, "0 = all finite-storage nodes");
         assert!(req.cap.load_capacities.is_none());
         assert_eq!(req.metric.backend, MetricBackend::Dense);
         assert!(!req.wants_sparse_metric());
@@ -498,9 +368,7 @@ mod tests {
     fn capacity_model_knobs_chain() {
         let req = SolveRequest::new()
             .capacities(vec![2, 2, 2])
-            .cap_candidates(8)
             .load_capacities(vec![10.0, 5.0, 10.0]);
-        assert_eq!(req.cap.candidates, 8);
         assert_eq!(
             req.cap.load_capacities.as_deref(),
             Some(&[10.0, 5.0, 10.0][..])
@@ -519,62 +387,17 @@ mod tests {
     }
 
     #[test]
-    fn grouped_builders_replace_whole_groups() {
-        let req = SolveRequest::new()
-            .fl_opts(FlOpts {
-                solver: FlSolverKind::Greedy,
-                storage_add_factor: 7.0,
-                ..FlOpts::default()
-            })
-            .cap_opts(CapOpts {
-                capacities: Some(vec![2, 2]),
-                candidates: 4,
-                load_capacities: None,
-            })
-            .shard_opts(ShardOpts {
-                count: 3,
-                partition: PartitionStrategy::Contiguous,
-                max_threads: Some(1),
-            })
-            .metric_opts(MetricOpts::sparse());
-        assert_eq!(req.fl.solver, FlSolverKind::Greedy);
-        assert_eq!(req.fl.storage_add_factor, 7.0);
-        assert_eq!(req.cap.capacities.as_deref(), Some(&[2usize, 2][..]));
-        assert_eq!(req.shard.count, 3);
-        assert!(req.wants_sparse_metric());
-    }
-
-    #[test]
-    fn metric_opts_defaults_and_views() {
-        let dense = MetricOpts::dense();
-        assert_eq!(dense.backend, MetricBackend::Dense);
-        let sparse = MetricOpts::sparse();
-        assert_eq!(sparse.backend, MetricBackend::Sparse);
-        let opts = sparse.sparse_opts();
-        assert_eq!(opts.expansion, sparse.expansion);
-        assert_eq!(opts.min_candidates, sparse.min_candidates);
+    fn metric_backend_defaults_and_views() {
+        let sparse = SolveRequest::new().metric_backend(MetricBackend::Sparse);
+        assert_eq!(sparse.metric.backend, MetricBackend::Sparse);
+        assert!(sparse.wants_sparse_metric());
+        let opts = sparse.metric.sparse_opts();
+        assert_eq!(opts.expansion, SparseOpts::default().expansion);
+        assert_eq!(opts.min_candidates, SparseOpts::default().min_candidates);
         assert_eq!(MetricBackend::parse("sparse"), Some(MetricBackend::Sparse));
         assert_eq!(MetricBackend::parse("dense"), Some(MetricBackend::Dense));
         assert_eq!(MetricBackend::parse("banded"), None);
         assert_eq!(MetricBackend::Sparse.to_string(), "sparse");
-    }
-
-    #[test]
-    fn flat_shims_and_groups_agree() {
-        // The pre-grouping builder spellings and the grouped fields must
-        // describe the same request.
-        let flat = SolveRequest::new()
-            .fl_solver(FlSolverKind::Greedy)
-            .phase_factors(6.0, 3.5)
-            .cap_candidates(5)
-            .shards(2)
-            .max_threads(Some(4));
-        assert_eq!(flat.fl.solver, FlSolverKind::Greedy);
-        assert_eq!(flat.fl.storage_add_factor, 6.0);
-        assert_eq!(flat.fl.write_prune_factor, 3.5);
-        assert_eq!(flat.cap.candidates, 5);
-        assert_eq!(flat.shard.count, 2);
-        assert_eq!(flat.shard.max_threads, Some(4));
     }
 
     #[test]

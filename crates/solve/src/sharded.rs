@@ -18,7 +18,7 @@
 //!
 //! * the merge is a pure scatter — object `x`'s copy set comes from
 //!   exactly the shard that owned `x`, so any partition of the objects
-//!   yields the same [`Placement`](dmn_core::placement::Placement);
+//!   yields the same [`Placement`];
 //! * the optional capacity repair is *global* across objects, so it is
 //!   stripped from the inner requests and applied once post-merge by
 //!   [`SolveReport::build`] — exactly where the sequential engines apply
@@ -49,17 +49,13 @@ pub enum PartitionStrategy {
     /// object first, each to the currently lightest shard. Balances wall
     /// clock when workloads are skewed.
     CostWeighted,
-    /// Near-equal contiguous index ranges (cache-friendly, preserves any
-    /// locality in object order).
-    Contiguous,
 }
 
 impl PartitionStrategy {
     /// Every strategy, in presentation order.
-    pub const ALL: [PartitionStrategy; 3] = [
+    pub const ALL: [PartitionStrategy; 2] = [
         PartitionStrategy::RoundRobin,
         PartitionStrategy::CostWeighted,
-        PartitionStrategy::Contiguous,
     ];
 
     /// Stable kebab-case name (CLI value).
@@ -67,7 +63,6 @@ impl PartitionStrategy {
         match self {
             PartitionStrategy::RoundRobin => "round-robin",
             PartitionStrategy::CostWeighted => "cost-weighted",
-            PartitionStrategy::Contiguous => "contiguous",
         }
     }
 
@@ -100,16 +95,6 @@ pub fn partition_objects(
         PartitionStrategy::RoundRobin => {
             for x in 0..k {
                 parts[x % s].push(x);
-            }
-        }
-        PartitionStrategy::Contiguous => {
-            let base = k / s;
-            let extra = k % s;
-            let mut next = 0usize;
-            for (i, part) in parts.iter_mut().enumerate() {
-                let len = base + usize::from(i < extra);
-                part.extend(next..next + len);
-                next += len;
             }
         }
         PartitionStrategy::CostWeighted => {
@@ -453,15 +438,11 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_and_contiguous_shapes() {
+    fn round_robin_shape() {
         let inst = instance_with_masses(&[1.0; 5]);
         assert_eq!(
             partition_objects(&inst, 2, PartitionStrategy::RoundRobin),
             vec![vec![0, 2, 4], vec![1, 3]]
-        );
-        assert_eq!(
-            partition_objects(&inst, 2, PartitionStrategy::Contiguous),
-            vec![vec![0, 1, 2], vec![3, 4]]
         );
     }
 

@@ -3,7 +3,7 @@
 
 use dmn_core::instance::{Instance, ObjectWorkload};
 use dmn_graph::generators;
-use dmn_solve::{solvers, SolveRequest};
+use dmn_solve::{solvers, MetricBackend, SolveRequest};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -78,7 +78,7 @@ fn sparse_path_honors_deadline() {
     let inst = instance(8, 16, 11);
     let approx = solvers::by_name("approx").expect("registered");
     let req = SolveRequest::new()
-        .metric_opts(dmn_solve::MetricOpts::sparse())
+        .metric_backend(MetricBackend::Sparse)
         .deadline(0.0);
     let report = approx.solve(&inst, &req);
     assert_feasible(&report, 16);

@@ -66,21 +66,30 @@ fn copy_sets(report: &SolveReport) -> Vec<Vec<usize>> {
         .collect()
 }
 
-/// Full coverage on trees: the sparse trajectory is bit-identical.
+/// Full coverage on trees: the sparse trajectory is bit-identical, for
+/// every phase-1 backend.
 #[test]
 fn sparse_matches_dense_exactly_on_trees() {
-    for seed in [1u64, 2, 3, 4, 5] {
-        let instance = scenario(TopologyKind::RandomTree, 16, seed, false).build_instance();
-        let approx = solvers::by_name("approx").unwrap();
-        let dense = approx.solve(&instance, &dense_req());
-        let sparse = approx.solve(&instance, &sparse_req());
-        assert_eq!(sparse.placement, dense.placement, "seed {seed}");
-        assert!(
-            (sparse.cost.total() - dense.cost.total()).abs() < 1e-9,
-            "seed {seed}: {} vs {}",
-            sparse.cost.total(),
-            dense.cost.total()
-        );
+    let approx = solvers::by_name("approx").unwrap();
+    for fl in FlSolverKind::ALL {
+        // The exhaustive backend is 2^16 subsets per object: one seed.
+        let seeds: &[u64] = if fl == FlSolverKind::Exact {
+            &[1]
+        } else {
+            &[1, 2, 3, 4, 5]
+        };
+        for &seed in seeds {
+            let instance = scenario(TopologyKind::RandomTree, 16, seed, false).build_instance();
+            let dense = approx.solve(&instance, &dense_req().fl_solver(fl));
+            let sparse = approx.solve(&instance, &sparse_req().fl_solver(fl));
+            assert_eq!(sparse.placement, dense.placement, "{fl:?} seed {seed}");
+            assert!(
+                (sparse.cost.total() - dense.cost.total()).abs() < 1e-9,
+                "{fl:?} seed {seed}: {} vs {}",
+                sparse.cost.total(),
+                dense.cost.total()
+            );
+        }
     }
 }
 
