@@ -142,8 +142,8 @@ pub fn place_object_in(
 /// Places one object with distances from `src`, on a caller-provided
 /// facility-location workspace.
 ///
-/// Hot paths ([`place_all`], the registry engines, the sharded backend's
-/// per-shard workers) hold one workspace per worker thread and reuse its
+/// Hot paths ([`place_all`], the registry engines) hold one workspace per
+/// worker thread of their order-preserving per-object map and reuse its
 /// assignment tables and scratch buffers across all objects.
 ///
 /// `warm` seeds the phase-1 local search (typically the object's copy set

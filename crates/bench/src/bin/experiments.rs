@@ -5,8 +5,6 @@
 //! cargo run --release -p dmn-bench --bin experiments -- e2 e4
 //! cargo run --release -p dmn-bench --bin experiments -- --solver approx
 //! cargo run --release -p dmn-bench --bin experiments -- --solver tree-dp --nodes 64
-//! cargo run --release -p dmn-bench --bin experiments -- --solver sharded-approx --shards 4 \
-//!     --partition cost-weighted
 //! cargo run --release -p dmn-bench --bin experiments -- --solver list
 //! cargo run --release -p dmn-bench --bin experiments -- --solver capacitated \
 //!     --capacities uniform:2
@@ -22,8 +20,9 @@
 //! experiment runs capacitated end-to-end, `--cap-engine INNER` is
 //! shorthand for the native `cap:INNER` engine) and its `SolveReport`s
 //! (placements, cost breakdowns, per-phase timings) are printed.
-//! `perf-smoke` is the CI gate: on a pinned scenario it compares `approx`
-//! against `sharded-approx`, the incremental phase-1 local search against
+//! `perf-smoke` is the CI gate: on a pinned scenario it compares a
+//! one-thread `approx` solve against an all-threads solve of the objects
+//! in reverse order, the incremental phase-1 local search against
 //! the seed implementation, *and* the native capacitated engine against
 //! the greedy repair, writes the timing/cost/counter artifact, and exits
 //! non-zero when any placement deviates, the capacitated engine loses to
@@ -31,13 +30,13 @@
 //! below the pinned floor).
 
 use dmn_approx::FlSolverKind;
-use dmn_solve::{solvers, MetricBackend, PartitionStrategy, SolveRequest};
+use dmn_solve::{solvers, MetricBackend, SolveRequest};
 use dmn_workloads::{Scenario, TopologyKind, WorkloadParams};
 
 fn usage() -> ! {
     eprintln!(
         "usage: experiments <e1..e16 | all>...\n       experiments --solver <name | list> \
-         [--nodes N] [--objects K] [--seed S] [--shards N] [--partition STRATEGY] [--fl KIND] \
+         [--nodes N] [--objects K] [--seed S] [--fl KIND] \
          [--metric dense|sparse] [--capacities uniform:<k>] [--cap-engine INNER]\n       \
          experiments perf-smoke [--out PATH]\n       \
          experiments chaos [--out PATH]\n       \
@@ -90,8 +89,8 @@ fn main() {
 }
 
 /// The CI perf gate: writes `BENCH_ci.json` and fails on a placement
-/// mismatch (sharded vs sequential, or incremental vs seed local search),
-/// a skewed shard partition, a server replay whose post-swap costs
+/// mismatch (parallel reversed-order vs sequential, or incremental vs seed
+/// local search), a server replay whose post-swap costs
 /// deviate from from-scratch solves, a failed chaos replay, or a
 /// sparse-backend cost ratio above the control ceiling — and, in release
 /// builds, on a phase-1 speedup, server lookup throughput, re-solve
@@ -122,7 +121,10 @@ fn run_perf_smoke(args: &[String]) {
         }
     };
     if !outcome.costs_match {
-        eprintln!("perf-smoke: sharded-approx cost DIFFERS from approx (see {out})");
+        eprintln!(
+            "perf-smoke: the all-threads reversed-order approx solve DIFFERS from the \
+             one-thread sequential solve (see {out})"
+        );
         std::process::exit(1);
     }
     if !outcome.fast_matches_seed {
@@ -143,15 +145,6 @@ fn run_perf_smoke(args: &[String]) {
             "perf-smoke: an online strategy BEAT the informed static oracle on a \
              stationary stream (see {out}):\n{}",
             outcome.dynamic
-        );
-        std::process::exit(1);
-    }
-    if !outcome.shards_balanced {
-        eprintln!(
-            "perf-smoke: cost-weighted shard partition is SKEWED {:.3}x (max/min shard \
-             cost; ceiling {:.2}, see {out})",
-            outcome.shard_cost_skew,
-            dmn_bench::perf_smoke::MAX_SHARD_COST_SKEW
         );
         std::process::exit(1);
     }
@@ -257,14 +250,13 @@ fn run_perf_smoke(args: &[String]) {
         }
     }
     println!(
-        "perf-smoke: placements match (sharded == sequential, incremental == seed); \
-         capacitated feasible and <= greedy repair; every online strategy >= the \
-         static oracle on the stationary stream; shard cost skew {:.2}x; server \
+        "perf-smoke: placements match (parallel reversed-order == sequential, \
+         incremental == seed); capacitated feasible and <= greedy repair; every \
+         online strategy >= the static oracle on the stationary stream; server \
          sustained {:.0} lookups/s with post-swap costs equal to from-scratch; \
          telemetry overhead ratio {:.3} (lookup p50 {:.2e}s, p99 {:.2e}s); \
          sparse/dense control cost ratio {:.4}; warm timeline chain <= cold on all {} \
          slots ({} fallbacks); phase-1 speedup {:.1}x; artifact at {out}",
-        outcome.shard_cost_skew,
         outcome.server.lookups_per_sec,
         outcome.telemetry.overhead_ratio,
         outcome.server.lookup_p50,
@@ -355,8 +347,8 @@ fn run_timeline(args: &[String]) {
 }
 
 /// The differential scenario fuzzer: seeded random timeline scenarios
-/// through the registry engines (dense/sparse approx, sharded, native
-/// capacitated, tree-dp) with invariant checks; violations are minimized
+/// through the registry engines (dense/sparse approx, approx on reversed
+/// objects, native capacitated, tree-dp) with invariant checks; violations are minimized
 /// and — with `--regress DIR` — written as replayable scenario JSON.
 /// Exits non-zero when any case violates an invariant.
 fn run_fuzz(args: &[String]) {
@@ -531,8 +523,6 @@ fn run_solver_bench(args: &[String]) {
     let mut nodes = 36usize;
     let mut objects = 4usize;
     let mut seed = 7u64;
-    let mut shards = 0usize;
-    let mut partition = PartitionStrategy::default();
     let mut fl = FlSolverKind::default();
     let mut metric = MetricBackend::default();
     let mut cap_per_node: Option<usize> = None;
@@ -551,17 +541,6 @@ fn run_solver_bench(args: &[String]) {
             "--nodes" => nodes = value("--nodes").parse().unwrap_or_else(|_| usage()),
             "--objects" => objects = value("--objects").parse().unwrap_or_else(|_| usage()),
             "--seed" => seed = value("--seed").parse().unwrap_or_else(|_| usage()),
-            "--shards" => shards = value("--shards").parse().unwrap_or_else(|_| usage()),
-            "--partition" => {
-                let v = value("--partition");
-                partition = PartitionStrategy::parse(&v).unwrap_or_else(|| {
-                    eprintln!(
-                        "unknown partition strategy '{v}' (use {})",
-                        PartitionStrategy::ALL.map(|s| s.name()).join(", ")
-                    );
-                    usage()
-                });
-            }
             "--fl" => {
                 let v = value("--fl");
                 fl = FlSolverKind::parse(&v).unwrap_or_else(|| {
@@ -628,8 +607,6 @@ fn run_solver_bench(args: &[String]) {
     ];
     let req = SolveRequest::new()
         .seed(seed)
-        .shards(shards)
-        .partition(partition)
         .fl_solver(fl)
         .metric_backend(metric);
     println!("solver: {} — {}\n", solver.name(), solver.description());

@@ -168,7 +168,7 @@ pub fn run() -> Report {
         &mut rng(11_901),
     );
     let initial: Vec<Vec<usize>> = (0..objects).map(|x| vec![x % n]).collect();
-    for engine in ["approx", "greedy-local", "sharded:approx"] {
+    for engine in ["approx", "greedy-local"] {
         let oracle = StaticOracle::with_engine(engine).expect("registered");
         let mut zoo = standard_zoo(objects, &cs, stream.len());
         let comp = compete(

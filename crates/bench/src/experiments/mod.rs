@@ -7,7 +7,7 @@
 pub mod e10_approx_runtime;
 pub mod e11_dynamic;
 pub mod e12_extensions;
-pub mod e13_shard_scaling;
+pub mod e13_thread_scaling;
 pub mod e14_phase1_scaling;
 pub mod e15_capacitated;
 pub mod e16_sparse_metric;
@@ -44,7 +44,7 @@ pub fn run(id: &str) -> Vec<Report> {
         "e10" => vec![e10_approx_runtime::run()],
         "e11" => vec![e11_dynamic::run()],
         "e12" => vec![e12_extensions::run()],
-        "e13" => vec![e13_shard_scaling::run()],
+        "e13" => vec![e13_thread_scaling::run()],
         "e14" => vec![e14_phase1_scaling::run()],
         "e15" => vec![e15_capacitated::run()],
         "e16" => vec![e16_sparse_metric::run()],
@@ -61,7 +61,7 @@ pub fn run(id: &str) -> Vec<Report> {
             e10_approx_runtime::run(),
             e11_dynamic::run(),
             e12_extensions::run(),
-            e13_shard_scaling::run(),
+            e13_thread_scaling::run(),
             e14_phase1_scaling::run(),
             e15_capacitated::run(),
             e16_sparse_metric::run(),

@@ -1,15 +1,17 @@
 //! The CI perf-smoke check: one pinned scenario through the sequential,
-//! sharded, seed-reference, and warm-started engines, emitted as a
-//! machine-readable `BENCH_ci.json` artifact.
+//! parallel (reversed object order), seed-reference, and warm-started
+//! solves, emitted as a machine-readable `BENCH_ci.json` artifact.
 //!
 //! CI runs this in release mode on every push. The JSON carries per-phase
 //! timings, the full cost breakdown, and the phase-1 local-search counters
 //! (moves accepted / candidates priced) for every engine so timing trends
 //! are diffable across runs. Three boolean verdicts gate the job:
 //!
-//! * `costs_match` — the sharded placement and cost must equal the
-//!   sequential reference (a mismatch means the shard merge changed the
-//!   answer);
+//! * `costs_match` — an all-threads `approx` solve of the instance with
+//!   its objects reversed, mapped back by index, must equal the
+//!   one-thread sequential reference object for object, with cost within
+//!   1e-9 (a mismatch means a placement depends on which worker solved it
+//!   or on what that worker's reused workspace solved before);
 //! * `fast_matches_seed` — the incremental phase-1 local search must
 //!   produce the *identical* placement to the seed from-scratch
 //!   implementation (`FlSolverKind::LocalSearchRef`) on the smoke corpus;
@@ -17,10 +19,6 @@
 //!   native `capacitated` engine must stay feasible and cost no more than
 //!   the greedy repair of the sequential reference (its margin is
 //!   recorded in the artifact's `capacitated` section);
-//! * `shards_balanced` — the sharded run (cost-weighted LPT partition)
-//!   must keep the max/min shard-cost ratio under
-//!   [`MAX_SHARD_COST_SKEW`] (round-robin skewed shard 0 to ~1.8x
-//!   shard 3 on this scenario);
 //! * `server_ok` — the placement server must survive the drift-trace
 //!   replay (`server` section): every post-swap snapshot cost equals a
 //!   from-scratch solve of the drifted instance within 1e-9, with at
@@ -60,16 +58,12 @@ use dmn_dynamic::bridge::{compete_standard, StaticOracle};
 use dmn_dynamic::report::CompetitiveReport;
 use dmn_dynamic::stream::{sample_stream, StreamConfig};
 use dmn_json::Json;
-use dmn_solve::{solvers, MetricBackend, PartitionStrategy, SolveReport, SolveRequest};
+use dmn_solve::{solvers, MetricBackend, SolveReport, SolveRequest};
 use dmn_workloads::{DriftSpec, Scenario, TopologyKind, WorkloadParams};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use crate::{chaos_replay, server_bench, timeline};
-
-/// Shard count pinned for the smoke run (small enough for 2-core CI
-/// runners, big enough to exercise a real fan-out and merge).
-pub const SMOKE_SHARDS: usize = 4;
 
 /// Uniform per-node copy capacity of the capacitated smoke run: tight
 /// enough that the unconstrained placement needs real repair work, loose
@@ -90,11 +84,6 @@ pub const SMOKE_STREAM_LEN: usize = 4_000;
 /// Tolerance of the `dynamic_ok` gate: on a stationary stream every online
 /// strategy must cost at least the informed static oracle, up to fp slack.
 pub const DYNAMIC_RATIO_FLOOR: f64 = 1.0 - 1e-9;
-
-/// Ceiling on the sharded run's max/min shard-cost ratio. The
-/// cost-weighted LPT partition lands at ~1.10 on the pinned scenario
-/// (round-robin was ~1.76); the gate leaves room for workload bumps.
-pub const MAX_SHARD_COST_SKEW: f64 = 1.35;
 
 /// Release-mode floor on sustained server lookups/second during the
 /// drift-trace replay (measured well above 10M/s; the floor is the
@@ -268,7 +257,9 @@ pub fn run_scale(scenario: &Scenario) -> ScaleOutcome {
 pub struct SmokeOutcome {
     /// The `BENCH_ci.json` document.
     pub json: Json,
-    /// True when the sharded placement and cost equal the sequential ones.
+    /// True when the all-threads solve of the reversed-object instance,
+    /// mapped back by index, equals the one-thread sequential reference
+    /// object for object, with total cost within 1e-9.
     pub costs_match: bool,
     /// True when the incremental local search places identically to the
     /// seed from-scratch implementation.
@@ -284,11 +275,6 @@ pub struct SmokeOutcome {
     pub dynamic_ok: bool,
     /// The stationary-stream competition backing `dynamic_ok`.
     pub dynamic: CompetitiveReport,
-    /// True when the sharded run's max/min shard-cost ratio stays under
-    /// [`MAX_SHARD_COST_SKEW`] (the cost-weighted partition gate).
-    pub shards_balanced: bool,
-    /// The measured max/min shard-cost ratio of the sharded run.
-    pub shard_cost_skew: f64,
     /// True when the server replay's post-swap costs all equal the
     /// from-scratch solves (1e-9) and the run completed at least
     /// [`server_bench::REPLAY_SEGMENTS`] re-solves.
@@ -342,7 +328,6 @@ impl SmokeOutcome {
             && self.fast_matches_seed
             && self.capacitated_ok
             && self.dynamic_ok
-            && self.shards_balanced
             && self.server_ok
             && self.obs_ok
             && self.sparse_within_eps
@@ -392,6 +377,15 @@ fn run_dynamic(instance: &dmn_core::instance::Instance, seed: u64) -> Competitiv
         .expect("approx oracle runs on any network")
 }
 
+/// True when `reversed`, a solve of the instance with its objects in
+/// reverse order, places every object as `reference` does, with total
+/// cost within 1e-9.
+pub(crate) fn matches_reversed(reversed: &SolveReport, reference: &SolveReport) -> bool {
+    let k = reference.placement.num_objects();
+    (0..k).all(|x| reversed.placement.copies(k - 1 - x) == reference.placement.copies(x))
+        && (reversed.cost.total() - reference.cost.total()).abs() < 1e-9
+}
+
 /// Wall-clock seconds of one named phase of a report (0 when absent).
 fn phase_seconds(report: &SolveReport, name: &str) -> f64 {
     report
@@ -413,7 +407,7 @@ fn meta_count(report: &SolveReport, key: &str) -> f64 {
 /// builds, where a multi-second solve is affordable and its timing
 /// meaningful — the committed 10k-node sparse scale run.
 pub fn run() -> SmokeOutcome {
-    let mut outcome = run_with(&smoke_scenario(), SMOKE_SHARDS);
+    let mut outcome = run_with(&smoke_scenario());
     // The chaos replay runs in every build (its faults are wall-clock
     // bounded, not throughput bound); debug builds shrink the
     // post-recovery trace so the gate stays fast.
@@ -427,7 +421,7 @@ pub fn run() -> SmokeOutcome {
 
 /// Runs the smoke comparison on an arbitrary scenario (the unit tests use
 /// a scaled-down instance through this same code path).
-pub fn run_with(scenario: &Scenario, shards: usize) -> SmokeOutcome {
+pub fn run_with(scenario: &Scenario) -> SmokeOutcome {
     let instance = scenario.build_instance();
     let approx = solvers::by_name("approx").expect("approx registered");
 
@@ -444,18 +438,13 @@ pub fn run_with(scenario: &Scenario, shards: usize) -> SmokeOutcome {
     let seed_ref2 = approx.solve(&instance, &seed_req);
     let warm_req = one_thread.clone().fl_solver(FlSolverKind::LocalSearchWarm);
     let warm = approx.solve(&instance, &warm_req);
-    // Cost-weighted (LPT) partition: round-robin left shard 0 at ~1.8x
-    // shard 3's cost on this scenario; sorting objects descending by
-    // request mass before the greedy bin assignment balances the shards
-    // without changing the merged placement.
-    let sharded_req = SolveRequest::new()
-        .shards(shards)
-        .partition(PartitionStrategy::CostWeighted);
-    let sharded = solvers::by_name("sharded-approx")
-        .expect("sharded-approx registered")
-        .solve(&instance, &sharded_req);
-    let shard_cost_skew = sharded.shard_cost_skew();
-    let shards_balanced = shard_cost_skew <= MAX_SHARD_COST_SKEW;
+    // The fan-out gate: an all-threads solve with the objects reversed.
+    // Each object then runs on another worker, after another object in
+    // that worker's reused FL workspace, on any core count; a plain
+    // all-threads run on a one-core runner would repeat the sequential
+    // reference and pass by construction.
+    let reversed: Vec<usize> = (0..instance.num_objects()).rev().collect();
+    let parallel = approx.solve(&instance.object_subset(&reversed), &SolveRequest::new());
 
     // The capacitated gate: the native engine must stay feasible and
     // never exceed the greedy-repair baseline on the same request.
@@ -514,8 +503,7 @@ pub fn run_with(scenario: &Scenario, shards: usize) -> SmokeOutcome {
             || (telemetry_ab.overhead_ratio >= MIN_OBS_THROUGHPUT_RATIO
                 && server.lookups_per_sec >= MIN_SERVER_LOOKUPS_PER_SEC));
 
-    let costs_match = sharded.placement == sequential.placement
-        && (sharded.cost.total() - sequential.cost.total()).abs() < 1e-9;
+    let costs_match = matches_reversed(&parallel, &sequential);
     let fast_matches_seed = sequential.placement == seed_ref.placement
         && sequential.placement == sequential2.placement
         && (sequential.cost.total() - seed_ref.cost.total()).abs() < 1e-9;
@@ -537,14 +525,13 @@ pub fn run_with(scenario: &Scenario, shards: usize) -> SmokeOutcome {
                 ("nodes", Json::Num(instance.num_nodes() as f64)),
                 ("objects", Json::Num(instance.num_objects() as f64)),
                 ("seed", Json::Num(scenario.seed as f64)),
-                ("shards", Json::Num(shards as f64)),
             ]),
         ),
         (
             "solvers",
             Json::arr([
                 sequential.to_json(),
-                sharded.to_json(),
+                parallel.to_json(),
                 seed_ref.to_json(),
                 warm.to_json(),
             ]),
@@ -621,8 +608,6 @@ pub fn run_with(scenario: &Scenario, shards: usize) -> SmokeOutcome {
         ("fast_matches_seed", Json::Bool(fast_matches_seed)),
         ("capacitated_ok", Json::Bool(capacitated_ok)),
         ("dynamic_ok", Json::Bool(dynamic_ok)),
-        ("shards_balanced", Json::Bool(shards_balanced)),
-        ("shard_cost_skew", Json::Num(shard_cost_skew)),
         ("server_ok", Json::Bool(server_ok)),
         ("obs_ok", Json::Bool(obs_ok)),
         ("timeline_ok", Json::Bool(timeline_ok)),
@@ -640,8 +625,6 @@ pub fn run_with(scenario: &Scenario, shards: usize) -> SmokeOutcome {
         capacitated_ok,
         dynamic_ok,
         dynamic,
-        shards_balanced,
-        shard_cost_skew,
         server_ok,
         server,
         obs_ok,
@@ -722,9 +705,12 @@ mod tests {
         // chaos plan must not inject into this run. Released before the
         // chaos attach below (which takes the gate itself).
         let gate = dmn_core::faults::exclusive();
-        let mut outcome = run_with(&tiny_scenario(), 3);
+        let mut outcome = run_with(&tiny_scenario());
         drop(gate);
-        assert!(outcome.costs_match, "sharded deviated from sequential");
+        assert!(
+            outcome.costs_match,
+            "the parallel reversed-order solve deviated from the sequential one"
+        );
         assert!(
             outcome.fast_matches_seed,
             "incremental local search deviated from the seed implementation"
@@ -739,11 +725,6 @@ mod tests {
             outcome.dynamic
         );
         assert_eq!(outcome.dynamic.runs.len(), 5, "full zoo raced");
-        assert!(
-            outcome.shards_balanced,
-            "cost-weighted shards skewed to {:.3}",
-            outcome.shard_cost_skew
-        );
         assert!(
             outcome.server_ok,
             "server replay failed: {:?}",
@@ -834,7 +815,6 @@ mod tests {
             "\"margin_vs_repair\"",
             "\"solvers\"",
             "\"approx\"",
-            "\"sharded-approx\"",
             "\"phases\"",
             "\"total_cost\"",
             "\"costs_match\"",
@@ -859,8 +839,6 @@ mod tests {
             "\"lookup_p99\"",
             "\"latency_samples\"",
             "\"sampling_interval\"",
-            "\"shards_balanced\"",
-            "\"shard_cost_skew\"",
             "\"timeline\"",
             "\"timeline_ok\"",
             "\"cold_costs\"",
@@ -892,40 +870,6 @@ mod tests {
         // Round-trips through the parser (CI consumers can load it).
         let parsed = dmn_json::parse(&rendered).expect("valid JSON");
         assert!(matches!(parsed, Json::Obj(_)));
-    }
-
-    /// Satellite pin of the shard-rebalance fix on the *full* smoke
-    /// scenario: partitioning needs no solve, so this runs the real 225
-    /// node / 32 object split. Round-robin is the skew the fix removed;
-    /// LPT must stay near-balanced by request mass (the quantity the
-    /// per-shard cost tracks).
-    #[test]
-    fn cost_weighted_partition_rebalances_the_smoke_shards() {
-        let instance = smoke_scenario().build_instance();
-        let mass_skew = |strategy: PartitionStrategy| -> f64 {
-            let parts = dmn_solve::sharded::partition_objects(&instance, SMOKE_SHARDS, strategy);
-            let masses: Vec<f64> = parts
-                .iter()
-                .map(|p| {
-                    p.iter()
-                        .map(|&x| instance.objects[x].total_requests())
-                        .sum()
-                })
-                .collect();
-            let max = masses.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            let min = masses.iter().copied().fold(f64::INFINITY, f64::min);
-            max / min
-        };
-        let round_robin = mass_skew(PartitionStrategy::RoundRobin);
-        let lpt = mass_skew(PartitionStrategy::CostWeighted);
-        assert!(
-            round_robin > 1.5,
-            "round-robin no longer skews ({round_robin:.3}); revisit the gate"
-        );
-        assert!(
-            lpt < 1.1,
-            "LPT partition skewed to {lpt:.3} (round-robin: {round_robin:.3})"
-        );
     }
 
     #[test]

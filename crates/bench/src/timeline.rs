@@ -231,7 +231,7 @@ fn copies_added(prev: &HashMap<u64, Vec<usize>>, next: &HashMap<u64, Vec<usize>>
 /// Runs the full timeline: cold chain, warm chain, and the dynamic zoo.
 ///
 /// `engine` is any registry spelling (`approx`, `tree-dp`, `cap:approx`,
-/// `sharded:approx`, ...); `req` carries the solve options both chains
+/// `greedy-local`, ...); `req` carries the solve options both chains
 /// share (the warm chain adds its per-slot seed on top; engines that
 /// cannot consume a warm seed simply solve cold on both chains, and the
 /// fold keeps the chains equal).

@@ -253,9 +253,9 @@ impl Instance {
 
     /// A sub-instance over the same network holding only the objects at
     /// `indices` (in the given order). The already-computed metric closure
-    /// is shared with the sub-view (an `Arc` clone, no `O(n^2)` copy), so
-    /// shard workers never recompute APSP; callers that care should force
-    /// it first with [`Instance::metric`].
+    /// is shared with the sub-view (an `Arc` clone, no `O(n^2)` copy), so a
+    /// reordered view (the order-equivalence checks) never recomputes APSP;
+    /// callers that care should force it first with [`Instance::metric`].
     ///
     /// # Panics
     /// Panics when an index is out of range.

@@ -22,10 +22,10 @@ where
 }
 
 /// [`par_map`] with an explicit worker cap: at most `max_threads` workers
-/// (`None` = all available CPUs). `Some(1)` forces sequential execution —
-/// the sharded solver uses this so each shard solves on one core while
-/// shards themselves run in parallel, making the shard count the unit of
-/// parallelism instead of oversubscribing nested thread pools.
+/// (`None` = all available CPUs). `Some(1)` forces sequential execution.
+/// The solve engines pass `SolveRequest::max_threads` here, so a caller
+/// can cap a solve's per-object fan-out; because results land in input
+/// order, the cap never changes the output.
 pub fn par_map_threads<T, U, F>(items: &[T], max_threads: Option<usize>, f: F) -> Vec<U>
 where
     T: Sync,

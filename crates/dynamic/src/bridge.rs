@@ -5,8 +5,8 @@
 //! this bridge, [`StaticOracle`] was hardwired to the `approx` engine; now
 //! it wraps **any** solver from the `dmn-solve` registry
 //! ([`dmn_solve::solvers::by_name`]) driven through a [`SolveRequest`], so
-//! `tree-dp`, `sharded:approx`, `capacitated`, exhaustive `exact`, or any
-//! future engine can serve as the competitive-ratio reference.
+//! `tree-dp`, `capacitated`, exhaustive `exact`, or any future engine can
+//! serve as the competitive-ratio reference.
 //!
 //! [`compete`] is the harness built on top: one stream, one oracle, a set
 //! of online strategies, and a [`CompetitiveReport`] with per-strategy
@@ -40,8 +40,8 @@ impl StaticOracle {
     }
 
     /// An oracle over any registry engine name (every spelling
-    /// [`solvers::by_name`] accepts, including `sharded:<inner>` and
-    /// `cap:<inner>`); `None` for unknown names.
+    /// [`solvers::by_name`] accepts, including `cap:<inner>`); `None` for
+    /// unknown names.
     pub fn with_engine(name: &str) -> Option<Self> {
         Some(StaticOracle {
             engine: solvers::by_name(name)?,
@@ -58,7 +58,7 @@ impl StaticOracle {
     }
 
     /// Replaces the [`SolveRequest`] the wrapped engine is driven with
-    /// (seed, FL backend, capacities, shard knobs, ...).
+    /// (seed, FL backend, capacities, thread cap, ...).
     pub fn request(mut self, request: SolveRequest) -> Self {
         self.request = request;
         self

@@ -22,7 +22,7 @@
 //!   `cs(v)`; [`sim::simulate_segmented`] decomposes the run per phase,
 //! * [`bridge`] — the dynamic↔static bridge: [`StaticOracle`] wraps **any**
 //!   engine of the `dmn-solve` registry (`approx`, `tree-dp`,
-//!   `sharded:approx`, `capacitated`, ...) as the offline reference, and
+//!   `capacitated`, ...) as the offline reference, and
 //!   [`bridge::compete`] races a strategy set against it,
 //! * [`report`] — [`CompetitiveReport`]: per-strategy serve/transfer/rent
 //!   breakdowns with total and per-phase empirical competitive ratios,

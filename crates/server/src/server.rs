@@ -245,7 +245,7 @@ impl HealthCells {
 pub enum ServerError {
     /// The configured solver name is not in the registry. Carries the
     /// spec parser's explanation, which names the exact bad segment
-    /// (`sharded:aprox` → `unknown solver "aprox" ...`).
+    /// (`cap:aprox` → `unknown solver "aprox" ...`).
     UnknownSolver(String),
     /// The configured solver cannot run on the instance.
     Unsupported(String),

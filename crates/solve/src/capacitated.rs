@@ -41,7 +41,7 @@ use dmn_core::instance::Instance;
 use dmn_core::placement::Placement;
 
 use crate::report::{CapacityStats, PhaseStat, SolveReport};
-use crate::sharded::intern;
+use crate::spec::intern;
 use crate::{SolveRequest, Solver, Unsupported};
 
 /// A capacitated meta-engine over an inner registry engine.
@@ -201,7 +201,7 @@ impl Solver for CapacitatedSolver {
 /// search ran, so the copy-side fields collapse to the report's own cost,
 /// and the assignment flow provides the load verdict. `None` when the
 /// request has no load budgets either.
-pub(crate) fn load_only_stats(
+fn load_only_stats(
     instance: &Instance,
     req: &SolveRequest,
     report: &SolveReport,
@@ -227,23 +227,22 @@ pub(crate) fn load_only_stats(
     })
 }
 
-/// Output of the shared capacitated finishing pipeline.
-pub(crate) struct CapFinish {
-    pub placement: Placement,
-    pub phases: Vec<PhaseStat>,
-    pub meta: Vec<(&'static str, String)>,
-    pub stats: CapacityStats,
+/// Output of the capacitated finishing pipeline.
+struct CapFinish {
+    placement: Placement,
+    phases: Vec<PhaseStat>,
+    meta: Vec<(&'static str, String)>,
+    stats: CapacityStats,
 }
 
 /// The capacitated finishing pipeline on raw (possibly infeasible) open
 /// sets: greedy repair vs flow seed, capacitated local search, optional
-/// global load-capped assignment. Shared by [`CapacitatedSolver`] and the
-/// post-merge pass of `sharded:capacitated`.
+/// global load-capped assignment.
 ///
 /// # Panics
 /// Panics when the capacities cannot hold one copy per object (matching
 /// the uniform repair's contract in [`SolveReport::build`]).
-pub(crate) fn finish(instance: &Instance, req: &SolveRequest, raw: Placement) -> CapFinish {
+fn finish(instance: &Instance, req: &SolveRequest, raw: Placement) -> CapFinish {
     let cap = req
         .cap
         .capacities
@@ -366,7 +365,7 @@ mod tests {
         assert!(CapacitatedSolver::over("no-such").is_none());
         assert!(
             CapacitatedSolver::over("sharded-approx").is_none(),
-            "no nesting"
+            "retired name"
         );
         assert!(
             CapacitatedSolver::over("capacitated").is_none(),

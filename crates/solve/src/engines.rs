@@ -86,11 +86,8 @@ impl Solver for ApproxSolver {
         let warm = req.fl.warm_placement.as_deref();
         let indices: Vec<usize> = (0..instance.objects.len()).collect();
         let expired_objects = AtomicUsize::new(0);
-        let results: Vec<PlaceOutcome> = par_map_threads_with(
-            &indices,
-            req.shard.max_threads,
-            FlWorkspace::new,
-            |ws, &x| {
+        let results: Vec<PlaceOutcome> =
+            par_map_threads_with(&indices, req.max_threads, FlWorkspace::new, |ws, &x| {
                 let w = &instance.objects[x];
                 let _ = faults::hit(faults::points::SOLVE_PHASE1);
                 if req.robust.expired(started) {
@@ -115,8 +112,7 @@ impl Solver for ApproxSolver {
                 let placed = place_object_with(ws, src, &instance.storage_cost, w, &cfg, seed);
                 span.finish();
                 placed
-            },
-        );
+            });
         let timings = results
             .iter()
             .fold(PhaseTimings::default(), |acc, r| acc.add(&r.timings));
@@ -300,7 +296,7 @@ impl Solver for TreeDpSolver {
         let started = Instant::now();
         self.supports(instance).expect("solver applicability");
         let tree = RootedTree::from_graph(&instance.graph, 0);
-        let solutions = par_map_threads(&instance.objects, req.shard.max_threads, |w| {
+        let solutions = par_map_threads(&instance.objects, req.max_threads, |w| {
             optimal_tree_general(&tree, &instance.storage_cost, w)
         });
         let native: f64 = solutions.iter().map(|s| s.cost).sum();
@@ -354,7 +350,7 @@ macro_rules! exact_solver {
                 let started = Instant::now();
                 self.supports(instance).expect("solver applicability");
                 let metric = instance.metric();
-                let solutions = par_map_threads(&instance.objects, req.shard.max_threads, |w| {
+                let solutions = par_map_threads(&instance.objects, req.max_threads, |w| {
                     $f(metric, &instance.storage_cost, w)
                 });
                 let native: f64 = solutions.iter().map(|s| s.cost).sum();

@@ -10,9 +10,9 @@
 //! * [`Solver`] — the trait every placement engine implements:
 //!   `solve(&Instance, &SolveRequest) -> SolveReport`;
 //! * [`SolveRequest`] — a builder-style bundle of solve-time options
-//!   (cost-accounting policy, phase-1 facility-location backend, phase
-//!   toggles and thresholds, RNG seed, replication degree, per-node copy
-//!   capacities, trace collection);
+//!   (cost-accounting policy, phase-1 facility-location backend, RNG
+//!   seed, replication degree, per-node copy capacities, trace
+//!   collection, worker-thread cap);
 //! * [`SolveReport`] — placement, full
 //!   [`CostBreakdown`](dmn_core::cost::CostBreakdown), per-phase timings
 //!   and traces, and solver metadata, with a table-style
@@ -46,7 +46,6 @@ pub mod engines;
 pub mod registry;
 pub mod report;
 pub mod request;
-pub mod sharded;
 pub mod spec;
 
 pub use capacitated::CapacitatedSolver;
@@ -56,11 +55,8 @@ pub use engines::{
     FullReplicationSolver, GreedyLocalSolver, RandomKSolver, TreeDpSolver,
 };
 pub use registry::solvers;
-pub use report::{CapacityStats, PhaseStat, ShardStat, SolveReport};
-pub use request::{
-    CapOpts, FlOpts, MetricBackend, MetricOpts, RobustOpts, ShardOpts, SolveRequest,
-};
-pub use sharded::{PartitionStrategy, ShardedSolver};
+pub use report::{CapacityStats, PhaseStat, SolveReport};
+pub use request::{CapOpts, FlOpts, MetricBackend, MetricOpts, RobustOpts, SolveRequest};
 pub use spec::SolverSpec;
 
 use dmn_core::instance::Instance;

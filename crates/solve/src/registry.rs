@@ -4,11 +4,10 @@
 pub mod solvers {
     use crate::capacitated::CapacitatedSolver;
     use crate::engines::*;
-    use crate::sharded::ShardedSolver;
     use crate::spec::SolverSpec;
     use crate::{Solver, Unsupported};
 
-    /// Every *base* (non-sharded) engine, in presentation order: the
+    /// Every *base* (non-meta) engine, in presentation order: the
     /// paper's algorithms first, then ground truth, then baselines.
     pub(crate) fn base_all() -> Vec<Box<dyn Solver>> {
         vec![
@@ -25,19 +24,16 @@ pub mod solvers {
     }
 
     /// Registry names of the base (non-meta) engines — the valid `<inner>`
-    /// spellings for the `sharded:<inner>` and `cap:<inner>` meta-engine
-    /// prefixes. Tools enumerating composable solver names (the `sweep`
+    /// spellings for the `cap:<inner>` meta-engine prefix. Tools enumerating composable solver names (the `sweep`
     /// binary, the dynamic oracle bridge) advertise these.
     pub fn base_names() -> Vec<&'static str> {
         base_all().iter().map(|s| s.name()).collect()
     }
 
-    /// Every registered solver, in presentation order; the meta-engines
-    /// over the paper's algorithm (`sharded-approx`, `capacitated`) close
-    /// the list.
+    /// Every registered solver, in presentation order; the meta-engine
+    /// over the paper's algorithm (`capacitated`) closes the list.
     pub fn all() -> Vec<Box<dyn Solver>> {
         let mut engines = base_all();
-        engines.push(Box::new(ShardedSolver::approx()));
         engines.push(Box::new(CapacitatedSolver::approx()));
         engines
     }
@@ -51,16 +47,13 @@ pub mod solvers {
     /// Resolves a solver spec to an engine, or explains why it cannot.
     ///
     /// The accepted grammar is [`SolverSpec`]'s: any base registry name
-    /// (plus the `krw` alias for the paper's algorithm), `cap:<base>` /
-    /// `capacitated` for the native capacitated engine, and
-    /// `sharded:<inner>` over any base or capacitated spec
-    /// (`sharded:cap:approx` composes). Canonical spellings collapse
-    /// (`sharded:approx` → `sharded-approx`, `cap:approx` →
-    /// `capacitated`).
+    /// (plus the `krw` alias for the paper's algorithm), and `cap:<base>` /
+    /// `capacitated` for the native capacitated engine. Canonical
+    /// spellings collapse (`cap:approx` → `capacitated`).
     ///
     /// # Errors
     /// [`Unsupported`] naming the exact offending segment (unknown engine
-    /// name, or an illegal nesting such as `sharded:sharded:...`).
+    /// name, or an illegal nesting such as `cap:cap:...`).
     pub fn resolve(name: &str) -> Result<Box<dyn Solver>, Unsupported> {
         SolverSpec::parse(name).map(|spec| spec.instantiate())
     }
@@ -109,46 +102,22 @@ mod tests {
             "best-single",
             "random-k",
             "full-replication",
-            "sharded-approx",
+            "capacitated",
         ] {
             assert!(names.contains(&required), "missing {required}");
         }
     }
 
     #[test]
-    fn sharded_lookups_resolve() {
-        assert_eq!(
-            solvers::by_name("sharded-approx").unwrap().name(),
-            "sharded-approx"
-        );
-        // The generic prefix form works for every base engine; the approx
-        // spellings collapse to the canonical name.
-        assert_eq!(
-            solvers::by_name("sharded:approx").unwrap().name(),
-            "sharded-approx"
-        );
-        assert_eq!(
-            solvers::by_name("sharded:krw").unwrap().name(),
-            "sharded-approx"
-        );
-        assert_eq!(
-            solvers::by_name("sharded:tree-dp").unwrap().name(),
-            "sharded:tree-dp"
-        );
-        assert!(solvers::by_name("sharded:nope").is_none());
-        assert!(solvers::by_name("sharded:sharded:approx").is_none());
-    }
-
-    #[test]
     fn resolve_reports_the_bad_segment() {
-        let e = solvers::resolve("sharded:no-such").err().expect("rejected");
+        let e = solvers::resolve("cap:no-such").err().expect("rejected");
         assert!(e.reason.contains("no-such"), "{e}");
-        assert!(e.reason.contains("sharded:no-such"), "{e}");
+        assert!(e.reason.contains("cap:no-such"), "{e}");
         let e = solvers::resolve("cap:cap:approx").err().expect("rejected");
         assert!(e.reason.contains("base engines only"), "{e}");
         assert_eq!(
-            solvers::resolve("sharded:cap:approx").unwrap().name(),
-            "sharded:capacitated"
+            solvers::resolve("cap:approx").unwrap().name(),
+            "capacitated"
         );
     }
 

@@ -40,20 +40,6 @@ impl PhaseStat {
     }
 }
 
-/// Per-shard accounting of one sharded solve (timing and native cost of
-/// each worker's sub-solve, before any global capacity repair).
-#[derive(Debug, Clone)]
-pub struct ShardStat {
-    /// Shard index (0-based, in partition order).
-    pub shard: usize,
-    /// Objects assigned to the shard.
-    pub objects: usize,
-    /// Wall-clock seconds of the shard's inner solve.
-    pub seconds: f64,
-    /// Total cost of the shard's sub-placement under the request policy.
-    pub cost: f64,
-}
-
 /// Capacity-model accounting of one capacitated solve: the feasibility
 /// verdict, the greedy-repair baseline the native engine is gated
 /// against, and the flow/search work that produced the final placement.
@@ -108,8 +94,6 @@ pub struct SolveReport {
     pub meta: Vec<(&'static str, String)>,
     /// End-to-end wall-clock seconds of the solve call.
     pub wall_seconds: f64,
-    /// Per-shard breakdown; empty for non-sharded engines.
-    pub shard_stats: Vec<ShardStat>,
     /// Capacity-model breakdown; `None` for non-capacitated solves.
     pub capacity: Option<CapacityStats>,
     /// The engine returned a valid but knowingly sub-optimal placement
@@ -196,7 +180,6 @@ impl SolveReport {
             traces,
             meta,
             wall_seconds: started.elapsed().as_secs_f64(),
-            shard_stats: Vec::new(),
             capacity: None,
             degraded: false,
             deadline_exceeded: false,
@@ -235,25 +218,6 @@ impl SolveReport {
             .map_or(0.0, |p| p.seconds)
     }
 
-    /// Max/min per-shard sub-solve cost — the partition-balance figure the
-    /// perf gate pins. 1.0 when the report has fewer than two shards (or
-    /// every shard costs zero); `f64::MAX` when some shard has zero cost
-    /// while another does not, so an empty-shard degenerate partition
-    /// reads as maximally skewed instead of perfectly balanced
-    /// (`f64::MAX` rather than infinity keeps the figure JSON-encodable).
-    pub fn shard_cost_skew(&self) -> f64 {
-        let costs: Vec<f64> = self.shard_stats.iter().map(|s| s.cost).collect();
-        let max = costs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let min = costs.iter().copied().fold(f64::INFINITY, f64::min);
-        if costs.len() < 2 || max <= 0.0 {
-            1.0
-        } else if min <= 0.0 {
-            f64::MAX
-        } else {
-            max / min
-        }
-    }
-
     /// A meta counter as a number (0 when absent or unparsable).
     fn meta_count(&self, key: &str) -> f64 {
         self.meta_value(key)
@@ -262,8 +226,8 @@ impl SolveReport {
     }
 
     /// The machine-readable rendering of the report: cost breakdown,
-    /// per-phase timings, FL counters, per-shard stats, and the capacity
-    /// section when present. This is the one serialization every consumer
+    /// per-phase timings, FL counters, and the capacity section when
+    /// present. This is the one serialization every consumer
     /// shares — the `perf-smoke` artifact (`BENCH_ci.json`), the `sweep`
     /// binary, and the `dmn-server` status endpoint all emit it, so field
     /// names stay diffable across tools.
@@ -305,21 +269,7 @@ impl SolveReport {
                     ])
                 })),
             ),
-            (
-                "shards",
-                Json::arr(self.shard_stats.iter().map(|s| {
-                    Json::obj([
-                        ("shard", Json::Num(s.shard as f64)),
-                        ("objects", Json::Num(s.objects as f64)),
-                        ("seconds", Json::Num(s.seconds)),
-                        ("cost", Json::Num(s.cost)),
-                    ])
-                })),
-            ),
         ];
-        if !self.shard_stats.is_empty() {
-            fields.push(("shard_cost_skew", Json::Num(self.shard_cost_skew())));
-        }
         if let Some(c) = &self.capacity {
             fields.push((
                 "capacity",
@@ -393,16 +343,6 @@ impl fmt::Display for SolveReport {
                 p.name,
                 fmt_seconds(p.seconds),
                 p.detail
-            )?;
-        }
-        for s in &self.shard_stats {
-            writeln!(
-                f,
-                "  shard {:<3} {:>5} objects  {:>10}  cost {:.2}",
-                s.shard,
-                s.objects,
-                fmt_seconds(s.seconds),
-                s.cost
             )?;
         }
         if let Some(c) = &self.capacity {
@@ -548,20 +488,6 @@ mod tests {
             vec![("fl-moves", "7".into()), ("fl-backend", "beta".into())],
             std::time::Instant::now(),
         );
-        report.shard_stats = vec![
-            ShardStat {
-                shard: 0,
-                objects: 1,
-                seconds: 0.1,
-                cost: 6.0,
-            },
-            ShardStat {
-                shard: 1,
-                objects: 1,
-                seconds: 0.1,
-                cost: 4.0,
-            },
-        ];
         report.capacity = Some(CapacityStats {
             feasible: true,
             repair_cost: 12.0,
@@ -574,49 +500,12 @@ mod tests {
         assert_eq!(json.get("total_cost").unwrap().as_f64(), Some(10.0));
         assert_eq!(json.get("fl_moves").unwrap().as_f64(), Some(7.0));
         assert_eq!(json.get("fl_backend").unwrap().as_str(), Some("beta"));
-        assert_eq!(json.get("shards").unwrap().as_arr().unwrap().len(), 2);
-        assert_eq!(json.get("shard_cost_skew").unwrap().as_f64(), Some(1.5));
         assert_eq!(
             json.get("capacity").unwrap().get("repair_cost").unwrap(),
             &Json::Num(12.0)
         );
         let text = json.to_string_pretty();
         assert_eq!(dmn_json::parse(&text).unwrap(), json, "round-trips");
-    }
-
-    #[test]
-    fn shard_cost_skew_degenerate_cases() {
-        let inst = tiny_instance();
-        let mut report = SolveReport::build(
-            "test",
-            &inst,
-            &SolveRequest::new(),
-            Placement::from_copy_sets(vec![vec![1]]),
-            vec![],
-            None,
-            vec![],
-            std::time::Instant::now(),
-        );
-        assert_eq!(report.shard_cost_skew(), 1.0, "no shards");
-        assert!(report.to_json().get("shard_cost_skew").is_none());
-
-        let stat = |shard, cost| ShardStat {
-            shard,
-            objects: 1,
-            seconds: 0.1,
-            cost,
-        };
-        report.shard_stats = vec![stat(0, 0.0), stat(1, 5.0)];
-        assert_eq!(
-            report.shard_cost_skew(),
-            f64::MAX,
-            "an empty shard is maximal skew, not balance"
-        );
-        let json = report.to_json().to_string_pretty();
-        dmn_json::parse(&json).expect("f64::MAX skew still serializes");
-
-        report.shard_stats = vec![stat(0, 0.0), stat(1, 0.0)];
-        assert_eq!(report.shard_cost_skew(), 1.0, "all-zero shards are equal");
     }
 
     #[test]

@@ -3,8 +3,6 @@
 use dmn_approx::{ApproxConfig, FlSolverKind, SparseOpts};
 use dmn_core::cost::UpdatePolicy;
 
-use crate::sharded::PartitionStrategy;
-
 /// Knobs of the paper's three-phase approximation (phase-1 backend and
 /// warm seeds). Grouped under [`SolveRequest::fl`].
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -40,21 +38,6 @@ pub struct CapOpts {
     /// report the optimal capacity-respecting client→copy assignment
     /// cost (reads stay nearest-copy in the headline `CostBreakdown`).
     pub load_capacities: Option<Vec<f64>>,
-}
-
-/// Shard-fan-out knobs of the `sharded:*` meta-engines. Grouped under
-/// [`SolveRequest::shard`].
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ShardOpts {
-    /// Worker-shard count for sharded engines; `0` means one shard per
-    /// available CPU. Ignored by non-sharded engines.
-    pub count: usize,
-    /// How sharded engines split the object set across shards.
-    pub partition: PartitionStrategy,
-    /// Upper bound on worker threads an engine may use internally (`None` =
-    /// all CPUs). The sharded solver pins inner solves to one thread so the
-    /// shard fan-out is the only source of parallelism.
-    pub max_threads: Option<usize>,
 }
 
 /// Which distance closure backs a solve.
@@ -138,10 +121,10 @@ impl RobustOpts {
 /// understands and ignores the rest (the approximation algorithm reads
 /// `fl`, `random-k` reads `seed` and `replication_degree`, the capacity
 /// repair applies to all). Options cluster into typed groups —
-/// [`FlOpts`] (`fl`), [`CapOpts`] (`cap`), [`ShardOpts`] (`shard`),
-/// [`MetricOpts`] (`metric`), [`RobustOpts`] (`robust`) — with a handful
-/// of engine-agnostic fields kept flat. Construct with
-/// [`SolveRequest::new`] and chain the builder methods:
+/// [`FlOpts`] (`fl`), [`CapOpts`] (`cap`), [`MetricOpts`] (`metric`),
+/// [`RobustOpts`] (`robust`) — with a handful of engine-agnostic fields
+/// kept flat. Construct with [`SolveRequest::new`] and chain the builder
+/// methods:
 ///
 /// ```
 /// use dmn_core::cost::UpdatePolicy;
@@ -167,12 +150,14 @@ pub struct SolveRequest {
     /// Collect per-object per-phase copy-set traces in the report (engines
     /// without phase structure return `None` regardless).
     pub collect_traces: bool,
+    /// Upper bound on the worker threads an engine's order-preserving
+    /// per-object map may use (`None` = all CPUs). Placements do not
+    /// depend on it.
+    pub max_threads: Option<usize>,
     /// Approximation-algorithm knobs (phase-1 backend, warm seeds).
     pub fl: FlOpts,
     /// Capacity-model knobs (copy caps, load budgets).
     pub cap: CapOpts,
-    /// Shard-fan-out knobs (count, partition strategy, thread cap).
-    pub shard: ShardOpts,
     /// Distance-closure knobs (dense vs sparse).
     pub metric: MetricOpts,
     /// Robustness knobs (solve deadline, degraded-mode fallback).
@@ -186,9 +171,9 @@ impl Default for SolveRequest {
             seed: 0,
             replication_degree: 3,
             collect_traces: false,
+            max_threads: None,
             fl: FlOpts::default(),
             cap: CapOpts::default(),
-            shard: ShardOpts::default(),
             metric: MetricOpts::default(),
             robust: RobustOpts::default(),
         }
@@ -261,22 +246,10 @@ impl SolveRequest {
         self
     }
 
-    /// Sets the worker-shard count for sharded engines (`0` = one shard per
-    /// available CPU).
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shard.count = shards;
-        self
-    }
-
-    /// Sets the object-partition strategy for sharded engines.
-    pub fn partition(mut self, strategy: PartitionStrategy) -> Self {
-        self.shard.partition = strategy;
-        self
-    }
-
-    /// Caps the worker threads an engine may use internally.
+    /// Caps the worker threads an engine may use internally (`None` = all
+    /// CPUs).
     pub fn max_threads(mut self, threads: Option<usize>) -> Self {
-        self.shard.max_threads = threads;
+        self.max_threads = threads;
         self
     }
 
@@ -332,9 +305,7 @@ mod tests {
         assert_eq!(dmn_approx::STORAGE_ADD_FACTOR, 5.0);
         assert_eq!(dmn_approx::WRITE_PRUNE_FACTOR, 4.0);
         assert_eq!(req.policy, UpdatePolicy::MstMulticast);
-        assert_eq!(req.shard.count, 0, "0 = auto (one shard per CPU)");
-        assert_eq!(req.shard.partition, PartitionStrategy::RoundRobin);
-        assert_eq!(req.shard.max_threads, None);
+        assert_eq!(req.max_threads, None, "None = all CPUs");
         assert!(req.cap.load_capacities.is_none());
         assert_eq!(req.metric.backend, MetricBackend::Dense);
         assert!(!req.wants_sparse_metric());
@@ -376,14 +347,10 @@ mod tests {
     }
 
     #[test]
-    fn shard_knobs_chain() {
-        let req = SolveRequest::new()
-            .shards(4)
-            .partition(PartitionStrategy::CostWeighted)
-            .max_threads(Some(2));
-        assert_eq!(req.shard.count, 4);
-        assert_eq!(req.shard.partition, PartitionStrategy::CostWeighted);
-        assert_eq!(req.shard.max_threads, Some(2));
+    fn thread_cap_chains() {
+        let req = SolveRequest::new().max_threads(Some(2));
+        assert_eq!(req.max_threads, Some(2));
+        assert_eq!(req.max_threads(None).max_threads, None);
     }
 
     #[test]

@@ -1,16 +1,9 @@
 //! One recursive grammar for solver names.
 //!
-//! Solver lookups used to be parsed three times over — `solvers::by_name`
-//! peeled `sharded:`, [`ShardedSolver::over`] re-parsed the remainder,
-//! [`CapacitatedSolver::parse`] re-parsed again — and every layer answered
-//! "no" with a bare `Option`, so a typo in `sharded:cap:aprox` surfaced as
-//! an anonymous `None` three frames up. [`SolverSpec`] replaces all of
-//! that with a single grammar:
+//! [`SolverSpec`] parses every accepted spelling in one place:
 //!
 //! ```text
-//! spec ::= "sharded:" inner        inner ::= cap-spec | base
-//!        | cap-spec
-//!        | base
+//! spec ::= cap-spec | base
 //! cap-spec ::= "capacitated" | "cap:" base
 //! base ::= "krw" | any base registry name
 //! ```
@@ -19,22 +12,38 @@
 //! *exact* bad segment (unknown name, or an illegal nesting like
 //! `cap:cap:...`), so the daemon and the CLI can echo a useful message.
 //! Canonical spellings collapse during the parse (`krw` → `approx`,
-//! `sharded:approx` → `sharded-approx`, `cap:approx` → `capacitated`), so
-//! a spec's [`name`](SolverSpec::name) is always the registry-canonical
-//! name of the engine [`instantiate`](SolverSpec::instantiate) builds.
+//! `cap:approx` → `capacitated`), so a spec's [`name`](SolverSpec::name)
+//! is always the registry-canonical name of the engine
+//! [`instantiate`](SolverSpec::instantiate) builds.
+
+use std::sync::{Mutex, OnceLock};
 
 use crate::capacitated::CapacitatedSolver;
-use crate::sharded::{intern, ShardedSolver};
 use crate::{unsupported, Solver, Unsupported};
 
+/// Interns a dynamically-built registry name so trait methods can hand out
+/// `&'static str`. The pool is tiny (one entry per distinct `cap:*`
+/// lookup) and deduplicated, so the leak is bounded.
+pub(crate) fn intern(s: String) -> &'static str {
+    static POOL: OnceLock<Mutex<Vec<&'static str>>> = OnceLock::new();
+    let mut pool = POOL
+        .get_or_init(|| Mutex::new(Vec::new()))
+        .lock()
+        .expect("name pool unpoisoned");
+    if let Some(&existing) = pool.iter().find(|&&e| e == s) {
+        return existing;
+    }
+    let leaked: &'static str = Box::leak(s.into_boxed_str());
+    pool.push(leaked);
+    leaked
+}
+
 /// A parsed solver name: a base engine, optionally wrapped by the
-/// capacitated meta-engine, optionally wrapped by the sharded meta-engine.
+/// capacitated meta-engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SolverSpec {
     /// A base (non-meta) registry engine, held by canonical name.
     Base(&'static str),
-    /// The sharded fan-out over an inner base or capacitated spec.
-    Sharded(Box<SolverSpec>),
     /// The native capacitated engine over an inner base spec.
     Capacitated(Box<SolverSpec>),
 }
@@ -44,8 +53,7 @@ impl SolverSpec {
     ///
     /// # Errors
     /// [`Unsupported`] naming the offending segment: an unknown engine
-    /// name, or an illegal nesting (`sharded:` inside `sharded:`, a meta
-    /// engine inside `cap:`).
+    /// name, or an illegal nesting (a meta engine inside `cap:`).
     pub fn parse(name: &str) -> Result<SolverSpec, Unsupported> {
         SolverSpec::parse_segment(name, name)
     }
@@ -58,17 +66,6 @@ impl SolverSpec {
                 format!("{what} in segment \"{seg}\" of solver spec \"{full}\"")
             }
         };
-        if let Some(inner) = seg.strip_prefix("sharded:") {
-            return match SolverSpec::parse_segment(inner, full)? {
-                SolverSpec::Sharded(_) => Err(unsupported(in_context(
-                    "`sharded:` cannot nest inside `sharded:`",
-                ))),
-                spec => Ok(SolverSpec::Sharded(Box::new(spec))),
-            };
-        }
-        if seg == "sharded-approx" {
-            return Ok(SolverSpec::Sharded(Box::new(SolverSpec::Base("approx"))));
-        }
         if seg == "capacitated" {
             return Ok(SolverSpec::Capacitated(Box::new(SolverSpec::Base(
                 "approx",
@@ -95,17 +92,13 @@ impl SolverSpec {
     }
 
     /// The registry-canonical name of the engine this spec builds
-    /// (`sharded:approx` parses to the spec named `sharded-approx`).
+    /// (`cap:approx` parses to the spec named `capacitated`).
     pub fn name(&self) -> &'static str {
         match self {
             SolverSpec::Base(b) => b,
             SolverSpec::Capacitated(inner) => match inner.name() {
                 "approx" => "capacitated",
                 b => intern(format!("cap:{b}")),
-            },
-            SolverSpec::Sharded(inner) => match inner.name() {
-                "approx" => "sharded-approx",
-                n => intern(format!("sharded:{n}")),
             },
         }
     }
@@ -121,9 +114,6 @@ impl SolverSpec {
                 .unwrap_or_else(|| panic!("base engine {b} registered")),
             SolverSpec::Capacitated(inner) => Box::new(
                 CapacitatedSolver::over(inner.name()).expect("parsed cap inner is a base engine"),
-            ),
-            SolverSpec::Sharded(inner) => Box::new(
-                ShardedSolver::over(inner.name()).expect("parsed sharded inner is composable"),
             ),
         }
     }
@@ -157,45 +147,33 @@ mod tests {
 
     #[test]
     fn parses_meta_compositions() {
-        let s = SolverSpec::parse("sharded:cap:approx").unwrap();
+        let s = SolverSpec::parse("cap:greedy-local").unwrap();
         assert_eq!(
             s,
-            SolverSpec::Sharded(Box::new(SolverSpec::Capacitated(Box::new(
-                SolverSpec::Base("approx")
-            ))))
+            SolverSpec::Capacitated(Box::new(SolverSpec::Base("greedy-local")))
         );
-        assert_eq!(s.name(), "sharded:capacitated");
+        assert_eq!(s.name(), "cap:greedy-local");
         assert_eq!(
-            SolverSpec::parse("sharded:approx").unwrap().name(),
-            "sharded-approx"
+            SolverSpec::parse("cap:approx").unwrap().name(),
+            "capacitated"
         );
         assert_eq!(
             SolverSpec::parse("cap:krw").unwrap().name(),
             "capacitated",
             "alias collapses inside meta wrappers too"
         );
-        assert_eq!(
-            SolverSpec::parse("sharded:capacitated").unwrap().name(),
-            "sharded:capacitated"
-        );
     }
 
     #[test]
     fn errors_name_the_bad_segment() {
-        let e = SolverSpec::parse("sharded:aprox").unwrap_err();
+        let e = SolverSpec::parse("cap:aprox").unwrap_err();
         assert!(e.reason.contains("unknown solver \"aprox\""), "{e}");
-        assert!(e.reason.contains("sharded:aprox"), "{e}");
+        assert!(e.reason.contains("cap:aprox"), "{e}");
 
-        let e = SolverSpec::parse("sharded:sharded:approx").unwrap_err();
-        assert!(e.reason.contains("cannot nest"), "{e}");
-
-        let e = SolverSpec::parse("sharded:sharded-approx").unwrap_err();
-        assert!(e.reason.contains("cannot nest"), "{e}");
+        let e = SolverSpec::parse("sharded:approx").unwrap_err();
+        assert!(e.reason.starts_with("unknown solver"), "{e}");
 
         let e = SolverSpec::parse("cap:cap:approx").unwrap_err();
-        assert!(e.reason.contains("base engines only"), "{e}");
-
-        let e = SolverSpec::parse("cap:sharded:approx").unwrap_err();
         assert!(e.reason.contains("base engines only"), "{e}");
 
         let e = SolverSpec::parse("cap:capacitated").unwrap_err();
@@ -206,11 +184,10 @@ mod tests {
     fn instantiates_every_composition() {
         for spec in [
             "approx",
-            "sharded:tree-dp",
+            "tree-dp",
             "cap:greedy-local",
-            "sharded:cap:approx",
+            "cap:approx",
             "capacitated",
-            "sharded-approx",
         ] {
             let parsed = SolverSpec::parse(spec).unwrap();
             let engine = parsed.instantiate();
@@ -221,8 +198,15 @@ mod tests {
     #[test]
     fn display_is_canonical() {
         assert_eq!(
-            SolverSpec::parse("sharded:krw").unwrap().to_string(),
-            "sharded-approx"
+            SolverSpec::parse("cap:krw").unwrap().to_string(),
+            "capacitated"
         );
+    }
+
+    #[test]
+    fn interned_names_are_stable() {
+        let a = SolverSpec::parse("cap:best-single").unwrap();
+        let b = SolverSpec::parse("cap:best-single").unwrap();
+        assert!(std::ptr::eq(a.name(), b.name()), "intern pool deduplicates");
     }
 }

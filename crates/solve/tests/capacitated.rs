@@ -1,12 +1,10 @@
 //! End-to-end contract of the native capacitated engines.
 //!
-//! The pinned guarantees: `capacitated` (and `cap:<inner>` /
-//! `sharded:capacitated`) always returns a feasible placement under
-//! `SolveRequest::capacities`, never costs more than the greedy repair of
-//! its inner engine, reports the margin in [`CapacityStats`], and passes
-//! through transparently when no capacities are requested. The sharded
-//! spelling must place identically to the sequential one (the shard merge
-//! is lossless and the finishing pipeline is global either way).
+//! The pinned guarantees: `capacitated` (and `cap:<inner>`) always returns
+//! a feasible placement under `SolveRequest::capacities`, never costs more
+//! than the greedy repair of its inner engine, reports the margin in
+//! [`CapacityStats`], and passes through transparently when no capacities
+//! are requested.
 
 use dmn_solve::{solvers, SolveRequest};
 use dmn_workloads::{Scenario, TopologyKind, WorkloadParams};
@@ -49,19 +47,7 @@ fn registry_spellings_resolve() {
         solvers::by_name("cap:greedy-local").unwrap().name(),
         "cap:greedy-local"
     );
-    assert_eq!(
-        solvers::by_name("sharded:capacitated").unwrap().name(),
-        "sharded:capacitated"
-    );
-    assert_eq!(
-        solvers::by_name("sharded:cap:approx").unwrap().name(),
-        "sharded:capacitated"
-    );
     assert!(solvers::by_name("cap:no-such").is_none());
-    assert!(
-        solvers::by_name("cap:sharded-approx").is_none(),
-        "no nesting"
-    );
     assert!(solvers::by_name("cap:capacitated").is_none(), "no nesting");
     assert!(solvers::names().contains(&"capacitated"));
 }
@@ -159,31 +145,6 @@ fn cap_inner_engines_work_and_stay_feasible() {
 }
 
 #[test]
-fn sharded_capacitated_matches_sequential() {
-    let instance = scenario(TopologyKind::Gnp, 22, 7, 5).build_instance();
-    let n = instance.num_nodes();
-    let cap = vec![1usize; n];
-    let sequential = solvers::by_name("capacitated")
-        .unwrap()
-        .solve(&instance, &SolveRequest::new().capacities(cap.clone()));
-    for shards in [1usize, 2, 4] {
-        let req = SolveRequest::new().capacities(cap.clone()).shards(shards);
-        let sharded = solvers::by_name("sharded:capacitated")
-            .unwrap()
-            .solve(&instance, &req);
-        assert_eq!(
-            sharded.placement, sequential.placement,
-            "{shards} shards: sharded capacitated diverged"
-        );
-        assert!(dmn_approx::respects_capacities(&sharded.placement, &cap));
-        let stats = sharded.capacity.expect("capacity stats on sharded run");
-        assert!(stats.feasible);
-        assert!(stats.final_cost <= stats.repair_cost + 1e-9);
-        assert!(!sharded.shard_stats.is_empty());
-    }
-}
-
-#[test]
 fn load_capacities_reprice_the_serve_legs() {
     let instance = scenario(TopologyKind::Grid { rows: 4, cols: 4 }, 16, 4, 17).build_instance();
     let n = instance.num_nodes();
@@ -220,12 +181,12 @@ fn load_capacities_reprice_the_serve_legs() {
 #[test]
 fn load_capacities_work_without_copy_capacities() {
     // The service-load model stands on its own: no copy caps set, yet the
-    // assignment flow must still run and report its verdict — through the
-    // sequential engine and the sharded composition alike.
+    // assignment flow must still run and report its verdict — over the
+    // paper's algorithm and over a baseline inner engine alike.
     let instance = scenario(TopologyKind::Gnp, 18, 4, 23).build_instance();
     let n = instance.num_nodes();
     let total_mass: f64 = instance.objects.iter().map(|w| w.total_requests()).sum();
-    for name in ["capacitated", "sharded:capacitated"] {
+    for name in ["capacitated", "cap:greedy-local"] {
         let solver = solvers::by_name(name).unwrap();
         let generous = SolveRequest::new().load_capacities(vec![total_mass; n]);
         let report = solver.solve(&instance, &generous);

@@ -4,14 +4,14 @@
 //! (`FlSolverKind::LocalSearchRef`) for the incremental assignment-table
 //! fast path (`FlSolverKind::LocalSearch`, the default) changes *nothing*
 //! about the answer — identical placements and costs through the registry,
-//! for every partition strategy of the sharded wrapper, with and without
+//! for every worker-thread cap and object order, with and without
 //! per-node capacities. The warm starts (`LocalSearchWarm`, and per-object
 //! seeds via `SolveRequest::warm_placement`) are different trajectories,
-//! so they are pinned the weaker way: valid placements, sharded ==
+//! so they are pinned the weaker way: valid placements, parallel ==
 //! sequential, and FL move counters visible in the report.
 
 use dmn_approx::FlSolverKind;
-use dmn_solve::{solvers, PartitionStrategy, SolveRequest};
+use dmn_solve::{solvers, SolveRequest};
 use dmn_workloads::{Scenario, TopologyKind, WorkloadParams};
 
 fn scenario(nodes: usize, objects: usize, seed: u64) -> Scenario {
@@ -63,25 +63,31 @@ fn registry_fast_path_matches_seed_local_search() {
     }
 }
 
-/// The equivalence holds through `sharded:approx` for every partition
-/// strategy and for every start (cold, Mettu–Plaxton-seeded, and seeded
-/// per object from a placement), including capacitated requests (the
-/// capacity repair runs globally post-merge).
+/// The equivalence holds for every worker-thread cap and for every start
+/// (cold, Mettu–Plaxton-seeded, and seeded per object from a placement),
+/// including capacitated requests (the capacity repair runs globally after
+/// the per-object map). Without capacities it also holds with the objects
+/// reversed: each object then lands on another worker, after another
+/// object's search in that worker's reused workspace, and its warm seed
+/// must follow it. The greedy repair walks objects in order, so the
+/// capacitated case is checked in the original order only.
 #[test]
-fn sharded_capacitated_equivalence_for_all_strategies_and_starts() {
+fn parallel_capacitated_equivalence_for_every_order_and_start() {
     let instance = scenario(20, 7, 5).build_instance();
     let n = instance.num_nodes();
+    let k = instance.num_objects();
     let approx = solvers::by_name("approx").expect("registered");
-    let sharded = solvers::by_name("sharded:approx").expect("registered");
-    // Seeds that differ from object to object, so a shard that hands an
+    // Seeds that differ from object to object, so a solve that hands an
     // object another object's seed starts its search in the wrong place.
     let random = solvers::by_name("random-k").expect("registered").solve(
         &instance,
         &SolveRequest::new().replication_degree(2).seed(13),
     );
-    let seeds: Vec<Vec<usize>> = (0..instance.num_objects())
+    let seeds: Vec<Vec<usize>> = (0..k)
         .map(|x| random.placement.copies(x).to_vec())
         .collect();
+    let reversed: Vec<usize> = (0..k).rev().collect();
+    let reversed_instance = instance.object_subset(&reversed);
     let starts = [
         ("cold", SolveRequest::new()),
         (
@@ -96,7 +102,7 @@ fn sharded_capacitated_equivalence_for_all_strategies_and_starts() {
             if let Some(cap) = &capacities {
                 base_req = base_req.capacities(cap.clone());
             }
-            // The sequential reference for this start: the seed local
+            // The one-thread reference for this start: the seed local
             // search for the cold start, the (deterministic) incremental
             // search from the same seeds for the warm ones.
             let ref_req = if *warm == "cold" {
@@ -104,25 +110,46 @@ fn sharded_capacitated_equivalence_for_all_strategies_and_starts() {
             } else {
                 base_req.clone()
             };
-            let reference = approx.solve(&instance, &ref_req);
-            for strategy in PartitionStrategy::ALL {
-                for shards in [1usize, 2, 3, 5] {
-                    let req = base_req.clone().shards(shards).partition(strategy);
-                    let report = sharded.solve(&instance, &req);
+            let reference = approx.solve(&instance, &ref_req.max_threads(Some(1)));
+            for threads in [Some(1), Some(2), Some(3), None] {
+                let req = base_req.clone().max_threads(threads);
+                let report = approx.solve(&instance, &req);
+                assert_eq!(
+                    report.placement,
+                    reference.placement,
+                    "warm={warm} cap={} threads={threads:?}: placement diverged",
+                    capacities.is_some()
+                );
+                assert!(
+                    (report.cost.total() - reference.cost.total()).abs() < 1e-9,
+                    "warm={warm} cap={} threads={threads:?}: cost {} vs {}",
+                    capacities.is_some(),
+                    report.cost.total(),
+                    reference.cost.total()
+                );
+                if capacities.is_some() {
+                    continue;
+                }
+                let mut rev_req = req.clone();
+                rev_req.fl.warm_placement = req
+                    .fl
+                    .warm_placement
+                    .as_ref()
+                    .map(|sets| reversed.iter().map(|&x| sets[x].clone()).collect());
+                let rev = approx.solve(&reversed_instance, &rev_req);
+                for (j, &x) in reversed.iter().enumerate() {
                     assert_eq!(
-                        report.placement,
-                        reference.placement,
-                        "warm={warm} cap={} {strategy}/{shards}: placement diverged",
-                        capacities.is_some()
-                    );
-                    assert!(
-                        (report.cost.total() - reference.cost.total()).abs() < 1e-9,
-                        "warm={warm} cap={} {strategy}/{shards}: cost {} vs {}",
-                        capacities.is_some(),
-                        report.cost.total(),
-                        reference.cost.total()
+                        rev.placement.copies(j),
+                        reference.placement.copies(x),
+                        "warm={warm} threads={threads:?}: object {x} moved when reversed"
                     );
                 }
+                assert!(
+                    (rev.cost.total() - reference.cost.total()).abs() < 1e-9,
+                    "warm={warm} threads={threads:?}: reversed cost {} vs {}",
+                    rev.cost.total(),
+                    reference.cost.total()
+                );
             }
         }
     }

@@ -86,20 +86,6 @@ fn sparse_path_honors_deadline() {
 }
 
 #[test]
-fn sharded_solve_propagates_shard_degradation() {
-    let inst = instance(8, 24, 5);
-    let sharded = solvers::by_name("sharded:approx").expect("registered");
-    let report = sharded.solve(&inst, &SolveRequest::new().shards(4).deadline(0.0));
-    assert_feasible(&report, 24);
-    assert!(
-        report.degraded && report.deadline_exceeded,
-        "a degraded shard degrades the merged report"
-    );
-    let clean = sharded.solve(&inst, &SolveRequest::new().shards(4));
-    assert!(!clean.degraded && !clean.deadline_exceeded);
-}
-
-#[test]
 fn capacitated_solve_propagates_inner_degradation() {
     let inst = instance(6, 12, 9);
     let cap = solvers::by_name("capacitated").expect("registered");

@@ -13,15 +13,13 @@
 //!   `scale_ok` gate enforces), and the sparse evaluator must agree with
 //!   the dense evaluator on the sparse placement exactly.
 //!
-//! Both properties are checked through the meta-engines too: every
-//! partition strategy of `sharded:approx` must reproduce the sequential
-//! sparse solve, and the `cap:` wrapper must stay feasible (capacity
-//! repair falls back to the dense evaluator by design).
+//! Both properties hold for every worker-thread count too: a parallel
+//! sparse solve must reproduce the one-thread sparse solve, and the `cap:`
+//! wrapper must stay feasible (capacity repair falls back to the dense
+//! evaluator by design).
 
 use dmn_core::cost::evaluate;
-use dmn_solve::{
-    solvers, FlSolverKind, MetricBackend, PartitionStrategy, SolveReport, SolveRequest,
-};
+use dmn_solve::{solvers, FlSolverKind, MetricBackend, SolveReport, SolveRequest};
 use dmn_workloads::{Scenario, TopologyKind, WorkloadParams};
 
 /// The cost ceiling truncated solves are held to, mirroring
@@ -228,32 +226,25 @@ fn truncated_sparse_stays_within_epsilon() {
     }
 }
 
-/// Every partition strategy of the sharded wrapper reproduces the
-/// sequential sparse solve — sharding is plumbing, per-object solves are
-/// deterministic, so the merged placement is invariant.
+/// Every worker-thread count reproduces the one-thread sparse solve —
+/// per-object solves are deterministic and the per-object map keeps input
+/// order, so the placement is invariant.
 #[test]
-fn sharded_sparse_matches_sequential_across_all_partitions() {
+fn parallel_sparse_matches_sequential() {
     for truncating in [false, true] {
         let instance =
             scenario(TopologyKind::Grid { rows: 7, cols: 7 }, 49, 31, truncating).build_instance();
-        let sequential = solvers::by_name("approx")
-            .unwrap()
-            .solve(&instance, &sparse_req());
-        for strategy in PartitionStrategy::ALL {
-            let req = SolveRequest::new()
-                .metric_backend(MetricBackend::Sparse)
-                .shards(3)
-                .partition(strategy);
-            let sharded = solvers::by_name("sharded:approx")
-                .unwrap()
-                .solve(&instance, &req);
+        let approx = solvers::by_name("approx").unwrap();
+        let sequential = approx.solve(&instance, &sparse_req());
+        for threads in [Some(2), Some(3), None] {
+            let parallel = approx.solve(&instance, &sparse_req().max_threads(threads));
             assert_eq!(
-                sharded.placement, sequential.placement,
-                "truncating={truncating} strategy={strategy:?}"
+                parallel.placement, sequential.placement,
+                "truncating={truncating} threads={threads:?}"
             );
             assert!(
-                (sharded.cost.total() - sequential.cost.total()).abs() < 1e-9,
-                "truncating={truncating} strategy={strategy:?}"
+                (parallel.cost.total() - sequential.cost.total()).abs() < 1e-9,
+                "truncating={truncating} threads={threads:?}"
             );
         }
     }
@@ -267,7 +258,7 @@ fn cap_wrapper_accepts_the_sparse_backend() {
     let instance = scenario(TopologyKind::Grid { rows: 6, cols: 6 }, 36, 41, true).build_instance();
     let cap = vec![1usize; 36];
     let req = sparse_req().capacities(cap.clone());
-    for name in ["capacitated", "approx", "sharded:cap:approx"] {
+    for name in ["capacitated", "approx"] {
         let report = solvers::by_name(name).unwrap().solve(&instance, &req);
         assert!(
             dmn_approx::respects_capacities(&report.placement, &cap),

@@ -10,7 +10,6 @@
 //! ```text
 //! cargo run --release --example dynamic_stream
 //! cargo run --release --example dynamic_stream -- --solver greedy-local
-//! cargo run --release --example dynamic_stream -- --solver sharded:approx
 //! ```
 
 use dmn::dynamic::bridge::{compete, StaticOracle};

@@ -25,7 +25,6 @@
 //! | `best-single`      | exact 1-copy optimum                          | baseline      |
 //! | `random-k`         | k random copies (seeded)                      | baseline      |
 //! | `full-replication` | copy on every allowed node                    | baseline      |
-//! | `sharded-approx`   | `approx` partitioned across worker shards     | extension     |
 //! | `capacitated`      | native capacitated engine (flow + local search) | extension   |
 //!
 //! ## Quickstart
@@ -50,7 +49,7 @@
 //! instance.push_object(object);
 //!
 //! // Pick any registered solver and solve. `SolveRequest` carries every
-//! // knob (update policy, FL backend, phase toggles, seed, capacities).
+//! // knob (update policy, FL backend, seed, capacities, thread cap).
 //! let solver = solvers::by_name("approx").expect("registered");
 //! let report = solver.solve(&instance, &SolveRequest::new());
 //! assert!(!report.placement.copies(0).is_empty());
@@ -112,7 +111,6 @@ pub mod prelude {
     pub use dmn_core::placement::Placement;
     pub use dmn_graph::{apsp, Graph, Metric};
     pub use dmn_solve::{
-        solvers, CapacitatedSolver, CapacityStats, PartitionStrategy, ShardedSolver, SolveReport,
-        SolveRequest, Solver,
+        solvers, CapacitatedSolver, CapacityStats, SolveReport, SolveRequest, Solver,
     };
 }
