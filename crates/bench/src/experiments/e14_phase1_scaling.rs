@@ -2,12 +2,13 @@
 //! implementation as the network grows.
 //!
 //! Phase 1 (the UFL solve) dominates the wall time of the three-phase
-//! algorithm. The incremental fast path prices every add/drop/swap in one
-//! pass over the clients via nearest/second-nearest assignment tables
-//! instead of the seed's from-scratch `O(|clients| · |open|)` scan per
-//! candidate, so its advantage grows with both the node count and the
-//! open-set size. This experiment measures, on random geometric networks
-//! of increasing size: the seed local search (up to the size where it is
+//! algorithm. The incremental fast path keeps nearest/second-nearest
+//! assignment tables, prices all adds and swaps of an iteration in one
+//! vectorizable sweep over the clients and each drop in one pass, instead
+//! of the seed's from-scratch `O(|clients| · |open|)` scan per candidate,
+//! so its advantage grows with both the node count and the open-set size.
+//! This experiment measures, on random geometric networks of increasing
+//! size: the seed local search (up to the size where it is
 //! still tolerable), the incremental search (identical placements —
 //! asserted), the Mettu–Plaxton warm start, and plain Mettu–Plaxton,
 //! reporting wall clock, speedup, and the search counters.

@@ -146,31 +146,6 @@ impl StaticOracle {
         self.place_on(&base, workloads)
     }
 
-    /// The pre-bridge hardwired path — `dmn_approx::place_object` per
-    /// object with default knobs — kept as the equivalence reference for
-    /// the bridge (`tests/bridge_equivalence.rs` pins bridge == hardwired).
-    pub fn place_hardwired(
-        metric: &Metric,
-        storage_cost: &[f64],
-        workloads: &[ObjectWorkload],
-    ) -> Vec<Vec<NodeId>> {
-        let cfg = dmn_approx::ApproxConfig::default();
-        workloads
-            .iter()
-            .map(|w| {
-                if w.total_requests() == 0.0 {
-                    let v = (0..storage_cost.len())
-                        .filter(|&v| storage_cost[v].is_finite())
-                        .min_by(|&a, &b| storage_cost[a].total_cmp(&storage_cost[b]))
-                        .expect("an allowed node exists");
-                    vec![v]
-                } else {
-                    dmn_approx::place_object(metric, storage_cost, w, &cfg)
-                }
-            })
-            .collect()
-    }
-
     /// Back-compat spelling of the oracle placement: the default `approx`
     /// oracle on a metric (the pre-bridge `StaticOracle::place` surface).
     pub fn place(

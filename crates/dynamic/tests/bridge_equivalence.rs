@@ -5,14 +5,15 @@
 //! directly, grid 4x5, three deterministic objects, ChaCha8 seed 1234,
 //! 1500 requests) before `StaticOracle` was rebuilt around the solver
 //! registry. The bridge with engine `approx` must stay placement- and
-//! cost-identical to them, and to the retained hardwired reference path.
+//! cost-identical to them, and to that path itself, kept below as the
+//! private golden `place_hardwired`.
 
 use dmn_core::instance::{Instance, ObjectWorkload};
 use dmn_dynamic::sim::static_cost_on_stream;
 use dmn_dynamic::stream::{empirical_workloads, sample_stream, StreamConfig};
 use dmn_dynamic::StaticOracle;
 use dmn_graph::dijkstra::apsp;
-use dmn_graph::generators;
+use dmn_graph::{generators, Metric, NodeId};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -28,6 +29,31 @@ const GOLDEN_PLACEMENT: [&[usize]; 3] = [
 const GOLDEN_READ: f64 = 200.0;
 const GOLDEN_WRITE: f64 = 1321.0;
 const GOLDEN_TRANSFER: f64 = 0.0;
+
+/// The pre-bridge oracle path: `dmn_approx::place_object` per object with
+/// default knobs, never-requested objects parked on the cheapest allowed
+/// node.
+fn place_hardwired(
+    metric: &Metric,
+    storage_cost: &[f64],
+    workloads: &[ObjectWorkload],
+) -> Vec<Vec<NodeId>> {
+    let cfg = dmn_approx::ApproxConfig::default();
+    workloads
+        .iter()
+        .map(|w| {
+            if w.total_requests() == 0.0 {
+                let v = (0..storage_cost.len())
+                    .filter(|&v| storage_cost[v].is_finite())
+                    .min_by(|&a, &b| storage_cost[a].total_cmp(&storage_cost[b]))
+                    .expect("an allowed node exists");
+                vec![v]
+            } else {
+                dmn_approx::place_object(metric, storage_cost, w, &cfg)
+            }
+        })
+        .collect()
+}
 
 fn golden_input() -> (
     dmn_graph::Graph,
@@ -97,7 +123,7 @@ fn bridge_is_identical_to_the_hardwired_path() {
     let metric = apsp(&g);
     let emp = empirical_workloads(&stream, 3, 20);
 
-    let hardwired = StaticOracle::place_hardwired(&metric, &cs, &emp);
+    let hardwired = place_hardwired(&metric, &cs, &emp);
     let bridged = StaticOracle::with_engine("approx")
         .unwrap()
         .place_metric(&metric, &cs, &emp)

@@ -12,9 +12,10 @@
 //! * [`local_search()`](fn@local_search) — add/drop/swap local search (the heuristic analyzed
 //!   in Korupolu–Plaxton–Rajaraman, the paper's reference 8; factor
 //!   5 + ε), backed by an incremental nearest/second-nearest assignment
-//!   table ([`FlWorkspace`]) that prices every move in one pass over the
-//!   clients; [`local_search_warm()`](fn@local_search_warm) seeds it from
-//!   Mettu–Plaxton, and [`local_search_reference()`](fn@local_search_reference)
+//!   table ([`FlWorkspace`]) that prices every add and swap of an
+//!   iteration in one vectorizable sweep over the clients and each drop
+//!   in one pass; [`local_search_warm()`](fn@local_search_warm) seeds it
+//!   from Mettu–Plaxton, and [`local_search_reference()`](fn@local_search_reference)
 //!   keeps the original from-scratch implementation as the equivalence
 //!   and perf baseline,
 //! * [`mettu_plaxton()`](fn@mettu_plaxton) — the radius-based greedy of Mettu & Plaxton
@@ -47,8 +48,8 @@ pub use greedy::greedy;
 pub use instance::{FlInstance, FlSolution};
 pub use jain_vazirani::jain_vazirani;
 pub use local_search::{
-    local_search, local_search_from, local_search_reference, local_search_warm,
-    local_search_warm_in, FlWorkspace, LocalSearchConfig, SearchStats,
+    local_search, local_search_from, local_search_reference, local_search_reference_from,
+    local_search_warm, local_search_warm_in, FlWorkspace, LocalSearchConfig, SearchStats,
 };
 pub use mettu_plaxton::mettu_plaxton;
 pub use nearest_copy::NearestCopyOracle;

@@ -15,8 +15,8 @@
 //! implementation, kept verbatim as [`local_search_reference`]). The fast
 //! path ([`FlWorkspace`]) instead maintains, per client `v`, the nearest
 //! and second-nearest *open* facility — Whitaker's assignment tables —
-//! written `d₁(v)` and `d₂(v)` below. Every candidate then prices in one
-//! `O(|clients|)` pass:
+//! written `d₁(v)` and `d₂(v)` below. A client's share of any candidate's
+//! cost is then one lookup and at most one comparison:
 //!
 //! * **add `f`** — client `v` pays `min(d₁(v), ct(v, f))`;
 //! * **drop `g`** — `v` pays `d₂(v)` if its nearest is `g`, else `d₁(v)`
@@ -25,16 +25,32 @@
 //! * **swap `g → f`** — the two compose: `v` pays `min(alt(v), ct(v, f))`
 //!   where `alt(v) = d₂(v)` if `v`'s nearest is `g`, else `d₁(v)`.
 //!
+//! Each drop is priced by its own `O(|clients|)` pass. Adds and swaps are
+//! priced together, once per iteration, in a table with one column per
+//! node `f`: row 0 holds the adds, and row `1 + i` the swaps that close
+//! `open[i]`. Every entry starts at its candidate's opening cost; one
+//! sweep over the clients in ascending order then adds client `v`'s share
+//! to every entry, reading `ct(v, f)` contiguously from `v`'s own metric
+//! row. `alt(v)` is fixed along a row, so the inner loop over `f` carries
+//! no dependency and vectorizes, yet each entry still receives exactly
+//! the floating-point operations of a single-candidate pass, in the same
+//! order (Rust never contracts `a * b + c` into a fused multiply-add, so
+//! every vector lane rounds like the scalar loop). The table holds
+//! `(|open| + 1) · n` prices, at most the `n²` of the metric itself.
+//!
 //! Candidate costs are accumulated in the *same floating-point order* as
 //! the reference (`opening cost in sorted facility order, then
-//! demand-weighted distances in ascending client order`), candidates are
-//! enumerated in the same order with the same strict-improvement
-//! tie-breaking, and the accepted move's cost is that exact candidate
-//! cost — so the fast path's trajectory, open set, and reported cost are
-//! bit-identical to the reference (pinned by `tests/incremental.rs`). The
-//! assignment tables are touched only when a move is *accepted*: an add
-//! updates them in `O(|clients|)`, a drop/swap rescans only the clients
-//! that pointed at the closed facility.
+//! demand-weighted distances in ascending client order`), distances are
+//! read from the client's row like the reference's `nearest_in` (`apsp`
+//! matrices are only symmetric up to an ulp, so the transposed `ct(f, v)`
+//! could flip a strict comparison), candidates are enumerated in the same
+//! order with the same strict-improvement tie-breaking, and the accepted
+//! move's cost is that exact candidate cost — so the fast path's
+//! trajectory, open set, and reported cost are bit-identical to the
+//! reference (pinned by `tests/incremental.rs`, from cold and warm
+//! starts). The assignment tables are touched only when a move is
+//! *accepted*: an add updates them in `O(|clients|)`, a drop/swap rescans
+//! only the clients that pointed at the closed facility.
 
 use dmn_graph::NodeId;
 
@@ -93,11 +109,12 @@ enum Move {
 const NO_FACILITY: NodeId = usize::MAX;
 
 /// Reusable state for the incremental local search: the per-client
-/// nearest / second-nearest assignment tables plus client/site scratch.
+/// nearest / second-nearest assignment tables, the current iteration's
+/// add and swap prices, and client/site scratch.
 ///
 /// One workspace serves any number of consecutive solves (the hot path
 /// reuses one per worker thread across all objects); buffers are resized,
-/// never reallocated, when instances share a node count.
+/// never reallocated, when sizes repeat.
 #[derive(Debug, Default)]
 pub struct FlWorkspace {
     /// Nearest open facility per node (valid for clients).
@@ -112,13 +129,11 @@ pub struct FlWorkspace {
     clients: Vec<NodeId>,
     /// Finite-opening-cost nodes of the current instance.
     sites: Vec<NodeId>,
-    /// Transposed metric: `trans[f * n + v] = d(v, f)`. Candidate pricing
-    /// sweeps the clients for one fixed facility `f`, so this keeps those
-    /// reads contiguous while preserving the exact client-row values the
-    /// reference uses (`apsp` matrices are only symmetric up to an ulp,
-    /// so reading the untransposed `d(f, v)` row would not be
-    /// bit-equivalent).
-    trans: Vec<f64>,
+    /// Add and swap prices of the current iteration, `n` per row: row 0,
+    /// column `f` is the cost of `open + {f}`; row `1 + i`, column `f` the
+    /// cost of `open - {open[i]} + {f}`. Open and forbidden columns are
+    /// filled but never read.
+    prices: Vec<f64>,
     /// Counters of the most recent run.
     stats: SearchStats,
 }
@@ -167,14 +182,12 @@ impl FlWorkspace {
         self.search(inst, open, cfg)
     }
 
-    /// Refreshes the client/site lists and the transposed metric for
-    /// `inst` and clears the counters.
+    /// Refreshes the client/site lists for `inst` and clears the counters.
     fn prepare(&mut self, inst: &FlInstance) {
         self.stats = SearchStats::default();
         self.clients.clear();
         self.sites.clear();
-        let n = inst.len();
-        for v in 0..n {
+        for v in 0..inst.len() {
             if inst.demand[v] > 0.0 {
                 self.clients.push(v);
             }
@@ -182,22 +195,6 @@ impl FlWorkspace {
                 self.sites.push(v);
             }
         }
-        // One O(n^2) transpose per solve; the search reads it ~|sites| *
-        // |clients| times per iteration.
-        self.trans.clear();
-        self.trans.resize(n * n, 0.0);
-        for v in 0..n {
-            let row = inst.metric.row(v);
-            for f in 0..n {
-                self.trans[f * n + v] = row[f];
-            }
-        }
-    }
-
-    /// Distances `d(v, f)` for every `v`, contiguous in `v`.
-    fn col(&self, inst: &FlInstance, f: NodeId) -> &[f64] {
-        let n = inst.len();
-        &self.trans[f * n..(f + 1) * n]
     }
 
     /// The search loop. Enumeration order, thresholding, and tie-breaking
@@ -208,9 +205,11 @@ impl FlWorkspace {
         mut open: Vec<NodeId>,
         cfg: &LocalSearchConfig,
     ) -> FlSolution {
+        let n = inst.len();
         let mut cost = inst.total_cost(&open);
         self.rebuild_tables(inst, &open);
         for _ in 0..cfg.max_iterations {
+            self.fill_prices(inst, &open);
             let threshold = cost * (1.0 - cfg.min_relative_gain);
             let mut best: Option<(Move, f64)> = None;
             let mut candidates = 0usize;
@@ -223,8 +222,7 @@ impl FlWorkspace {
             for &f in &self.sites {
                 if open.binary_search(&f).is_err() {
                     candidates += 1;
-                    let c = self.price_add(inst, &open, f);
-                    consider(Move::Add(f), c, &mut best);
+                    consider(Move::Add(f), self.prices[f], &mut best);
                 }
             }
             // Drops.
@@ -240,7 +238,7 @@ impl FlWorkspace {
                 for &f in &self.sites {
                     if open.binary_search(&f).is_err() {
                         candidates += 1;
-                        let c = self.price_swap(inst, &open, i, f);
+                        let c = self.prices[(i + 1) * n + f];
                         consider(Move::Swap(i, f), c, &mut best);
                     }
                 }
@@ -258,20 +256,30 @@ impl FlWorkspace {
         FlSolution { open, cost }
     }
 
-    /// Exact cost of `open + {f}` in one pass over the clients.
-    ///
-    /// Distances are read as `d(v, f)` — the client's row, exactly like
-    /// the reference's `nearest_in` — never the transposed `d(f, v)`:
-    /// `apsp` builds each row from an independent Dijkstra run, so the
-    /// matrix is only symmetric up to an ulp and the transposed entry
-    /// could flip a strict comparison against the reference trajectory.
-    fn price_add(&self, inst: &FlInstance, open: &[NodeId], f: NodeId) -> f64 {
-        let mut c = opening_cost_edited(inst, open, None, Some(f));
-        let col = self.col(inst, f);
-        for &v in &self.clients {
-            c += inst.demand[v] * self.near_d[v].min(col[v]);
+    /// Fills `prices` with the exact cost of every add and swap over
+    /// `open`: one sweep over the clients in ascending order, each adding
+    /// its share to every entry (see the module docs).
+    fn fill_prices(&mut self, inst: &FlInstance, open: &[NodeId]) {
+        let n = inst.len();
+        self.prices.clear();
+        if open.len() == self.sites.len() {
+            // Every site is open: no add or swap exists.
+            return;
         }
-        c
+        for skip in std::iter::once(None).chain((0..open.len()).map(Some)) {
+            self.prices
+                .extend((0..n).map(|f| opening_cost_edited(inst, open, skip, Some(f))));
+        }
+        for &v in &self.clients {
+            let (w, dist) = (inst.demand[v], inst.metric.row(v));
+            let (g, d1, d2) = (self.nearest[v], self.near_d[v], self.second_d[v]);
+            for (k, row) in self.prices.chunks_exact_mut(n).enumerate() {
+                let alt = if k > 0 && open[k - 1] == g { d2 } else { d1 };
+                for (c, &d) in row.iter_mut().zip(dist) {
+                    *c += w * alt.min(d);
+                }
+            }
+        }
     }
 
     /// Exact cost of `open - {open[i]}` via the second-nearest table.
@@ -285,23 +293,6 @@ impl FlWorkspace {
                 self.near_d[v]
             };
             c += inst.demand[v] * d;
-        }
-        c
-    }
-
-    /// Exact cost of `open - {open[i]} + {f}`: drop and add compose.
-    /// Distances are `d(v, f)` for the same reason as in [`Self::price_add`].
-    fn price_swap(&self, inst: &FlInstance, open: &[NodeId], i: usize, f: NodeId) -> f64 {
-        let g = open[i];
-        let mut c = opening_cost_edited(inst, open, Some(i), Some(f));
-        let col = self.col(inst, f);
-        for &v in &self.clients {
-            let alt = if self.nearest[v] == g {
-                self.second_d[v]
-            } else {
-                self.near_d[v]
-            };
-            c += inst.demand[v] * alt.min(col[v]);
         }
         c
     }
@@ -400,8 +391,8 @@ impl FlWorkspace {
 
 /// Opening cost of `open` with position `skip` removed and facility `add`
 /// inserted, summed in ascending facility order — the same floating-point
-/// order as [`FlInstance::opening_cost`] on the edited set. `add` must not
-/// already be open.
+/// order as [`FlInstance::opening_cost`] on the edited set. The sum is
+/// meaningful only when `add` is not already open.
 fn opening_cost_edited(
     inst: &FlInstance,
     open: &[NodeId],
@@ -468,10 +459,23 @@ pub fn local_search_warm_in(
 /// `local_search == local_search_reference` move for move — identical
 /// open sets with bit-identical reported costs.
 pub fn local_search_reference(inst: &FlInstance, cfg: &LocalSearchConfig) -> FlSolution {
+    // Start: cheapest single facility.
+    local_search_reference_from(inst, &[best_single(inst, &inst.sites())], cfg)
+}
+
+/// The reference loop of [`local_search_reference`] started from an
+/// arbitrary non-empty facility set (sorted + deduplicated internally):
+/// the equivalence reference for [`FlWorkspace::local_search_from`].
+pub fn local_search_reference_from(
+    inst: &FlInstance,
+    initial: &[NodeId],
+    cfg: &LocalSearchConfig,
+) -> FlSolution {
     let sites = inst.sites();
     let clients = inst.clients();
-    // Start: cheapest single facility.
-    let mut open: Vec<NodeId> = vec![best_single(inst, &sites)];
+    let mut open: Vec<NodeId> = initial.to_vec();
+    open.sort_unstable();
+    open.dedup();
     let mut cost = inst.total_cost(&open);
 
     for _ in 0..cfg.max_iterations {

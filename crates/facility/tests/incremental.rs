@@ -4,15 +4,17 @@
 //! set, bit-identical reported cost (candidate costs are accumulated in
 //! the same floating-point order) — including the edge cases the seed
 //! handles: forbidden sites (`f64::INFINITY` opening cost) and zero-cost
-//! facilities. The warm start is cross-checked to never end worse than
-//! the cold start on the corpus.
+//! facilities. Warm starts are pinned the same way against the reference
+//! loop run from the same start, and the Mettu–Plaxton warm start is
+//! cross-checked to never end worse than the cold start on the corpus.
 
 use dmn_facility::{
-    local_search, local_search_from, local_search_reference, local_search_warm, mettu_plaxton,
-    FlInstance, FlSolution, FlWorkspace, LocalSearchConfig,
+    local_search, local_search_from, local_search_reference, local_search_reference_from,
+    local_search_warm, mettu_plaxton, FlInstance, FlSolution, FlWorkspace, LocalSearchConfig,
 };
 use dmn_graph::dijkstra::apsp;
 use dmn_graph::generators;
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -116,6 +118,40 @@ fn incremental_matches_reference_with_zero_cost_facilities() {
         let fast = local_search(&inst, &cfg);
         let reference = local_search_reference(&inst, &cfg);
         assert_equivalent(seed, "zero-cost", &fast, &reference);
+    }
+}
+
+/// Warm starts follow the reference trajectory from the same start, with
+/// 20% of the sites forbidden: the Mettu–Plaxton start (the server's
+/// default), every allowed site (the largest price table) and a random
+/// half of the sites, all through one reused workspace.
+#[test]
+fn warm_starts_match_reference_from_the_same_start() {
+    let cfg = LocalSearchConfig::default();
+    let mut ws = FlWorkspace::new();
+    for seed in 0..CASES {
+        let mut r = ChaCha8Rng::seed_from_u64(750_000 + seed);
+        let n = r.random_range(4..18);
+        let (m, mut open, demand) = random_instance(n, 84_000 + seed);
+        for c in open.iter_mut().skip(1) {
+            if r.random_bool(0.2) {
+                *c = f64::INFINITY;
+            }
+        }
+        let inst = FlInstance::new(&m, open, demand);
+        let sites = inst.sites();
+        let mut half = sites.clone();
+        half.shuffle(&mut r);
+        half.truncate(sites.len().div_ceil(2));
+        for (label, start) in [
+            ("mettu-plaxton", mettu_plaxton(&inst).open),
+            ("all sites", sites),
+            ("random half", half),
+        ] {
+            let fast = ws.local_search_from(&inst, &start, &cfg);
+            let reference = local_search_reference_from(&inst, &start, &cfg);
+            assert_equivalent(seed, label, &fast, &reference);
+        }
     }
 }
 

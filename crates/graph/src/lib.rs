@@ -29,7 +29,6 @@
 
 pub mod bfs;
 pub mod dijkstra;
-pub mod dot;
 pub mod dsu;
 pub mod flow;
 pub mod generators;
