@@ -31,12 +31,13 @@
 //!   throughput and the [`MIN_SERVER_LOOKUPS_PER_SEC`] floor (the
 //!   "observability is near-free" acceptance bar);
 //!
-//! * `timeline_ok` — the warm-start chain over the pinned time-sliced
-//!   scenario ([`crate::timeline::pinned_scenario`]) must never cost more
-//!   than the cold per-slot re-solve on any slot (beyond
-//!   [`crate::timeline::WARM_TOLERANCE`]); the artifact's `timeline`
-//!   section carries the cost-over-time and copies-moved-per-slot series
-//!   for both chains and the dynamic zoo;
+//! * `timeline_ok` — over the pinned time-sliced scenario
+//!   ([`crate::timeline::pinned_scenario`]) the warm-start chain must add
+//!   strictly fewer copies and make strictly fewer phase-1 moves than the
+//!   cold per-slot re-solve, at a whole-timeline cost premium of at most
+//!   [`crate::timeline::MAX_WARM_PREMIUM`]; the artifact's `timeline`
+//!   section carries the cost, copies-moved and phase-1-move series for
+//!   both chains, the premium and its margin, and the dynamic zoo;
 //!
 //! * `scale_ok` — the sparse metric backend must stay within
 //!   [`MAX_SPARSE_COST_RATIO`] of the dense solve on the truncating
@@ -301,9 +302,9 @@ pub struct SmokeOutcome {
     /// The timeline run backing `timeline_ok` (the pinned time-sliced
     /// scenario through the warm/cold chains and the dynamic zoo).
     pub timeline: timeline::TimelineReport,
-    /// True when the warm-start chain never cost more than the cold
-    /// per-slot re-solve on any slot of the pinned timeline scenario
-    /// (beyond [`timeline::WARM_TOLERANCE`]).
+    /// [`timeline::TimelineReport::timeline_ok`] of the pinned timeline
+    /// scenario: the warm-start chain adds fewer copies and makes fewer
+    /// phase-1 moves than cold, within [`timeline::MAX_WARM_PREMIUM`].
     pub timeline_ok: bool,
     /// The 10k-node sparse run, when one was attached ([`run`] attaches it
     /// in release builds; debug runs and the scaled-down unit tests skip
@@ -475,9 +476,8 @@ pub fn run_with(scenario: &Scenario) -> SmokeOutcome {
     let sparse_within_eps = sparse_cost_ratio <= MAX_SPARSE_COST_RATIO;
 
     // The timeline gate: over the pinned time-sliced scenario the
-    // warm-start chain must never lose to the cold per-slot re-solve on
-    // any slot (the best-of fold makes that hold by construction; the
-    // recorded `warm_fallbacks` counter keeps the claim honest).
+    // warm-start chain must buy fewer copies and phase-1 moves than the
+    // cold per-slot re-solve, at a bounded cost premium.
     let timeline_report =
         timeline::run_timeline(&timeline::pinned_scenario(), "approx", &SolveRequest::new())
             .expect("pinned timeline scenario runs");
@@ -756,13 +756,9 @@ mod tests {
         );
         assert!(
             outcome.timeline_ok,
-            "warm chain lost to cold on a slot: {:?}",
-            outcome
-                .timeline
-                .slots
-                .iter()
-                .map(|s| (s.slot, s.cold_cost, s.warm_cost))
-                .collect::<Vec<_>>()
+            "warm chain bought nothing or cost too much: premium {:.4}, slots {:?}",
+            outcome.timeline.premium(),
+            outcome.timeline.slots
         );
         assert!(
             !outcome.timeline.slots.is_empty(),
@@ -843,10 +839,11 @@ mod tests {
             "\"timeline_ok\"",
             "\"cold_costs\"",
             "\"warm_costs\"",
-            "\"warm_raw_costs\"",
             "\"cold_moved\"",
             "\"warm_moved\"",
-            "\"warm_fallbacks\"",
+            "\"warm_fl_moves\"",
+            "\"premium\"",
+            "\"premium_margin\"",
             "\"cost_multipliers\"",
             "\"demand_multipliers\"",
             "\"copies_moved\"",

@@ -7,14 +7,14 @@
 //!
 //! * **cold chain** — every slot is solved from scratch by the selected
 //!   registry engine (the baseline series);
-//! * **warm chain** — each slot's solve is seeded from the previous
-//!   slot's placement, lifted across churn by stable object id (new
+//! * **warm chain** — each slot's solve is seeded from the warm chain's
+//!   own previous placement, lifted across churn by stable object id (new
 //!   objects run cold, retired ids are dropped, parked objects sit on the
-//!   cheapest storage node without entering the engine). The chain takes
-//!   the *better* of the warm and cold placements per slot and counts the
-//!   slots where cold won (`warm_fallbacks`) — the warm series is then
-//!   never worse than cold by construction, and the fallback counter
-//!   keeps the claim honest;
+//!   cheapest storage node without entering the engine). The chain keeps
+//!   its placement whatever cold costs: a seeded local search keeps the
+//!   phase-1 guarantee but lands in a different local optimum, so the
+//!   chain trades a small cost premium for fewer copies created, and
+//!   [`TimelineReport::timeline_ok`] gates that trade;
 //! * **dynamic zoo** — every online strategy replays the same slot
 //!   stream ([`dmn_dynamic::try_replay_slots`]) under the per-slot
 //!   storage prices.
@@ -30,7 +30,7 @@ use dmn_dynamic::replay::{try_replay_slots, ReplaySlot};
 use dmn_dynamic::strategy::standard_zoo;
 use dmn_dynamic::stream::{try_sample_stream, Request, StreamConfig};
 use dmn_json::Json;
-use dmn_solve::{solvers, SolveRequest};
+use dmn_solve::{solvers, SolveReport, SolveRequest};
 use dmn_workloads::{
     Scenario, Timeline, TimelinePattern, TimelineSpec, TopologyKind, WorkloadParams,
 };
@@ -74,9 +74,11 @@ pub fn pinned_scenario() -> Scenario {
     }
 }
 
-/// Warm-vs-cold tolerance of the `timeline_ok` gate: the warm chain may
-/// never cost more than the cold chain by more than this (absolute).
-pub const WARM_TOLERANCE: f64 = 1e-9;
+/// Ceiling on the warm chain's whole-timeline cost premium over cold
+/// ([`TimelineReport::premium`]). The committed sweep test
+/// `sweep_pins_the_warm_premium` pins it: the smallest round value above
+/// the sweep's maximum premium (+4.83%).
+pub const MAX_WARM_PREMIUM: f64 = 0.06;
 
 /// Seed mix of the per-slot stream RNG (distinct from the scenario's
 /// workload and churn streams).
@@ -97,16 +99,16 @@ pub struct SlotReport {
     pub active_objects: usize,
     /// Total cost of the cold (from-scratch) solve, parked rent included.
     pub cold_cost: f64,
-    /// Total cost of the warm-seeded solve before the best-of fold.
-    pub warm_raw_cost: f64,
-    /// Total cost of the warm chain (best of warm-seeded and cold).
+    /// Total cost of the warm-seeded solve, parked rent included.
     pub warm_cost: f64,
-    /// True when the cold placement won the fold this slot.
-    pub warm_fell_back: bool,
     /// Copies added vs the previous slot by the cold chain.
     pub cold_moved: usize,
     /// Copies added vs the previous slot by the warm chain.
     pub warm_moved: usize,
+    /// Phase-1 moves of the cold solve (its `fl-moves` meta; 0 when absent).
+    pub cold_fl_moves: usize,
+    /// Phase-1 moves of the warm-seeded solve (its `fl-moves` meta).
+    pub warm_fl_moves: usize,
 }
 
 /// One dynamic strategy's replay over the slot stream.
@@ -136,8 +138,6 @@ pub struct TimelineReport {
     pub engine: String,
     /// Per-slot static-chain outcomes, in time order.
     pub slots: Vec<SlotReport>,
-    /// Slots where the cold placement beat the warm-seeded one.
-    pub warm_fallbacks: usize,
     /// The dynamic zoo replayed over the same slots.
     pub dynamic: Vec<DynamicTimelineRun>,
 }
@@ -153,27 +153,41 @@ impl TimelineReport {
         self.slots.iter().map(|s| s.warm_cost).sum()
     }
 
-    /// The `timeline_ok` verdict: on every slot the warm chain costs no
-    /// more than the cold chain (beyond [`WARM_TOLERANCE`]).
+    /// The warm chain's whole-timeline cost premium over cold:
+    /// warm total / cold total − 1.
+    pub fn premium(&self) -> f64 {
+        self.warm_total() / self.cold_total() - 1.0
+    }
+
+    /// The `timeline_ok` verdict on what the warm chain buys over the
+    /// whole timeline: strictly fewer copies added and strictly fewer
+    /// phase-1 moves than cold, at a [`premium`](Self::premium) of at most
+    /// [`MAX_WARM_PREMIUM`]. Both counts are strict, so a chain whose
+    /// seeds are dropped equals cold and fails; engines that ignore warm
+    /// seeds read false.
     pub fn timeline_ok(&self) -> bool {
-        self.slots
-            .iter()
-            .all(|s| s.warm_cost <= s.cold_cost + WARM_TOLERANCE)
+        let sum = |f: fn(&SlotReport) -> usize| self.slots.iter().map(f).sum::<usize>();
+        sum(|s| s.warm_moved) < sum(|s| s.cold_moved)
+            && sum(|s| s.warm_fl_moves) < sum(|s| s.cold_fl_moves)
+            && self.premium() <= MAX_WARM_PREMIUM
     }
 
     /// Serializes the report (the `timeline` section of `BENCH_ci.json`).
     pub fn to_json(&self) -> Json {
         let series =
             |f: &dyn Fn(&SlotReport) -> Json| Json::Arr(self.slots.iter().map(f).collect());
+        let counts = |f: fn(&SlotReport) -> usize| series(&|s| Json::Num(f(s) as f64));
+        let premium = self.premium();
         Json::obj([
             ("scenario", Json::Str(self.scenario.clone())),
             ("engine", Json::Str(self.engine.clone())),
             ("slots", Json::Num(self.slots.len() as f64)),
             ("cold_costs", series(&|s| Json::Num(s.cold_cost))),
             ("warm_costs", series(&|s| Json::Num(s.warm_cost))),
-            ("warm_raw_costs", series(&|s| Json::Num(s.warm_raw_cost))),
-            ("cold_moved", series(&|s| Json::Num(s.cold_moved as f64))),
-            ("warm_moved", series(&|s| Json::Num(s.warm_moved as f64))),
+            ("cold_moved", counts(|s| s.cold_moved)),
+            ("warm_moved", counts(|s| s.warm_moved)),
+            ("cold_fl_moves", counts(|s| s.cold_fl_moves)),
+            ("warm_fl_moves", counts(|s| s.warm_fl_moves)),
             (
                 "cost_multipliers",
                 series(&|s| Json::Num(s.cost_multiplier)),
@@ -184,7 +198,9 @@ impl TimelineReport {
             ),
             ("cold_total", Json::Num(self.cold_total())),
             ("warm_total", Json::Num(self.warm_total())),
-            ("warm_fallbacks", Json::Num(self.warm_fallbacks as f64)),
+            ("premium", Json::Num(premium)),
+            ("max_premium", Json::Num(MAX_WARM_PREMIUM)),
+            ("premium_margin", Json::Num(MAX_WARM_PREMIUM - premium)),
             ("timeline_ok", Json::Bool(self.timeline_ok())),
             (
                 "dynamic",
@@ -228,13 +244,21 @@ fn copies_added(prev: &HashMap<u64, Vec<usize>>, next: &HashMap<u64, Vec<usize>>
         .sum()
 }
 
+/// Phase-1 moves a solve reports (its `fl-moves` meta; 0 when absent).
+fn fl_moves(report: &SolveReport) -> usize {
+    report
+        .meta_value("fl-moves")
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(0)
+}
+
 /// Runs the full timeline: cold chain, warm chain, and the dynamic zoo.
 ///
 /// `engine` is any registry spelling (`approx`, `tree-dp`, `cap:approx`,
 /// `greedy-local`, ...); `req` carries the solve options both chains
 /// share (the warm chain adds its per-slot seed on top; engines that
-/// cannot consume a warm seed simply solve cold on both chains, and the
-/// fold keeps the chains equal).
+/// cannot consume a warm seed solve cold on both chains, so the chains
+/// are equal and [`TimelineReport::timeline_ok`] reads false).
 ///
 /// # Errors
 /// Returns a message when the engine is unknown or unsupported on the
@@ -261,7 +285,6 @@ pub fn run_timeline(
         .map_err(|e| format!("engine \"{engine}\": {e}"))?;
 
     let mut slots = Vec::with_capacity(timeline.slots.len());
-    let mut warm_fallbacks = 0usize;
     // Chain state: stable id -> copy set after the previous slot.
     let mut cold_prev: HashMap<u64, Vec<usize>> = HashMap::new();
     let mut warm_prev: HashMap<u64, Vec<usize>> = HashMap::new();
@@ -311,21 +334,6 @@ pub fn run_timeline(
         let warm = solver.solve(&inst, &warm_req);
 
         let parked_rent = parked.len() as f64 * cs_slot[park_node];
-        let cold_cost = cold.cost.total() + parked_rent;
-        let warm_raw_cost = warm.cost.total() + parked_rent;
-        // Best-of fold: warm local search carries no ordering guarantee
-        // vs cold, so the chain keeps whichever placement is cheaper and
-        // records the fallback.
-        let warm_fell_back = warm_raw_cost > cold_cost + WARM_TOLERANCE;
-        if warm_fell_back {
-            warm_fallbacks += 1;
-        }
-        let (warm_cost, warm_placement) = if warm_fell_back {
-            (cold_cost, &cold.placement)
-        } else {
-            (warm_raw_cost, &warm.placement)
-        };
-
         let collect = |placement: &dmn_core::placement::Placement| {
             let mut map: HashMap<u64, Vec<usize>> = active
                 .iter()
@@ -338,7 +346,7 @@ pub fn run_timeline(
             map
         };
         let cold_now = collect(&cold.placement);
-        let warm_now = collect(warm_placement);
+        let warm_now = collect(&warm.placement);
 
         slots.push(SlotReport {
             slot: slot.slot,
@@ -346,12 +354,12 @@ pub fn run_timeline(
             cost_multiplier: slot.cost_multiplier,
             objects: slot.objects.len(),
             active_objects: active.len(),
-            cold_cost,
-            warm_raw_cost,
-            warm_cost,
-            warm_fell_back,
+            cold_cost: cold.cost.total() + parked_rent,
+            warm_cost: warm.cost.total() + parked_rent,
             cold_moved: copies_added(&cold_prev, &cold_now),
             warm_moved: copies_added(&warm_prev, &warm_now),
+            cold_fl_moves: fl_moves(&cold),
+            warm_fl_moves: fl_moves(&warm),
         });
         cold_prev = cold_now;
         warm_prev = warm_now;
@@ -363,7 +371,6 @@ pub fn run_timeline(
         scenario: scenario.name.clone(),
         engine: engine.to_string(),
         slots,
-        warm_fallbacks,
         dynamic,
     })
 }
@@ -462,28 +469,24 @@ mod tests {
     }
 
     #[test]
-    fn warm_chain_is_never_worse_than_cold_under_churn() {
-        // The satellite regression: objects are added, removed, AND
-        // parked between slots; the warm chain must survive the churn
-        // (no panic, no dropped warm placement) and never lose to cold.
+    fn warm_chain_buys_fewer_copies_and_moves_under_churn() {
+        // Objects are added, removed, AND parked between slots; the warm
+        // chain must survive the churn (no panic, no dropped warm
+        // placement) and pass the gate on what it buys.
         let report = run_timeline(&timeline_scenario(), "approx", &SolveRequest::new()).unwrap();
         assert_eq!(report.slots.len(), 5);
-        assert!(report.timeline_ok(), "warm chain worse than cold");
+        assert!(
+            report.timeline_ok(),
+            "premium {:.4}, slots {:?}",
+            report.premium(),
+            report.slots
+        );
         for s in &report.slots {
-            assert!(
-                s.warm_cost <= s.cold_cost + WARM_TOLERANCE,
-                "slot {}: warm {} vs cold {}",
-                s.slot,
-                s.warm_cost,
-                s.cold_cost
-            );
             assert!(s.cold_cost.is_finite() && s.cold_cost > 0.0);
+            assert!(s.warm_cost.is_finite() && s.warm_cost > 0.0);
             assert!(s.objects >= s.active_objects && s.active_objects >= 1);
         }
-        // Churn actually happened (slot populations differ).
-        let first: Vec<usize> = report.slots.iter().map(|s| s.objects).collect();
         assert!(report.slots[0].cold_moved > 0, "slot 0 creates all copies");
-        assert!(!first.is_empty());
     }
 
     #[test]
@@ -493,7 +496,13 @@ mod tests {
         let b = run_timeline(&s, "approx", &SolveRequest::new()).unwrap();
         assert_eq!(a.cold_total(), b.cold_total());
         assert_eq!(a.warm_total(), b.warm_total());
-        assert_eq!(a.warm_fallbacks, b.warm_fallbacks);
+        let warm = |r: &TimelineReport| -> Vec<(usize, usize)> {
+            r.slots
+                .iter()
+                .map(|s| (s.warm_moved, s.warm_fl_moves))
+                .collect()
+        };
+        assert_eq!(warm(&a), warm(&b));
         for (x, y) in a.dynamic.iter().zip(&b.dynamic) {
             assert_eq!(x.slot_costs, y.slot_costs);
             assert_eq!(x.copies_moved, y.copies_moved);
@@ -518,10 +527,11 @@ mod tests {
         for needle in [
             "\"cold_costs\"",
             "\"warm_costs\"",
-            "\"warm_raw_costs\"",
             "\"cold_moved\"",
             "\"warm_moved\"",
-            "\"warm_fallbacks\"",
+            "\"warm_fl_moves\"",
+            "\"premium\"",
+            "\"premium_margin\"",
             "\"timeline_ok\"",
             "\"dynamic\"",
             "\"copies_moved\"",
@@ -539,5 +549,128 @@ mod tests {
         // a panic.
         let err = run_timeline(&s, "tree-dp", &SolveRequest::new()).unwrap_err();
         assert!(err.contains("tree"), "{err}");
+    }
+
+    /// A report shaped like `grid_timeline`'s: per slot, the cold and the
+    /// warm chain's (cost, copies added, phase-1 moves). Warm costs 0.21%
+    /// more for 24 copies against 35 and 81 moves against 108.
+    fn grid_timeline_shaped() -> TimelineReport {
+        let chains = [
+            ((328.64, 9, 15), (328.64, 9, 15)),
+            ((519.24, 11, 27), (507.57, 8, 23)),
+            ((396.87, 5, 35), (387.24, 2, 28)),
+            ((185.06, 1, 19), (192.80, 1, 12)),
+            ((173.60, 9, 12), (190.55, 4, 3)),
+        ];
+        let slots = chains
+            .iter()
+            .enumerate()
+            .map(|(slot, &(cold, warm))| SlotReport {
+                slot,
+                demand_multiplier: 1.0,
+                cost_multiplier: 1.0,
+                objects: 4,
+                active_objects: 3,
+                cold_cost: cold.0,
+                warm_cost: warm.0,
+                cold_moved: cold.1,
+                warm_moved: warm.1,
+                cold_fl_moves: cold.2,
+                warm_fl_moves: warm.2,
+            });
+        TimelineReport {
+            scenario: "grid-timeline-shaped".into(),
+            engine: "approx".into(),
+            slots: slots.collect(),
+            dynamic: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn gate_passes_a_grid_timeline_shaped_report() {
+        let report = grid_timeline_shaped();
+        assert!(
+            (report.premium() - 0.0021).abs() < 1e-4,
+            "{}",
+            report.premium()
+        );
+        assert!(report.timeline_ok());
+    }
+
+    #[test]
+    fn gate_fails_when_any_check_breaks() {
+        let gate_after = |edit: &dyn Fn(&mut SlotReport)| {
+            let mut report = grid_timeline_shaped();
+            report.slots.iter_mut().for_each(edit);
+            report.timeline_ok()
+        };
+        assert!(
+            !gate_after(&|s| s.warm_moved = s.cold_moved),
+            "as many copies added as cold"
+        );
+        assert!(
+            !gate_after(&|s| s.warm_fl_moves = s.cold_fl_moves),
+            "as many phase-1 moves as cold"
+        );
+        assert!(
+            !gate_after(&|s| s.warm_cost = s.cold_cost * (1.0 + MAX_WARM_PREMIUM) * 1.001),
+            "premium above the pin"
+        );
+        let identical = |s: &mut SlotReport| {
+            (s.warm_cost, s.warm_moved, s.warm_fl_moves) =
+                (s.cold_cost, s.cold_moved, s.cold_fl_moves)
+        };
+        assert!(!gate_after(&identical), "identical chains");
+        // An engine that ignores warm seeds solves both chains alike.
+        let seedless = run_timeline(&timeline_scenario(), "greedy-local", &SolveRequest::new());
+        assert!(
+            !seedless.unwrap().timeline_ok(),
+            "greedy-local ignores seeds"
+        );
+    }
+
+    /// The committed sweep that pins [`MAX_WARM_PREMIUM`]: the pinned
+    /// timeline spec over 8 slots, at 4×4 with 4 objects and at 6×6 with
+    /// 8 objects, seeds 100–111 each (24 scenarios, 192 slots). Every
+    /// scenario's premium stays under the pin, and summed over the sweep
+    /// the warm chain adds fewer copies and makes fewer phase-1 moves.
+    #[test]
+    fn sweep_pins_the_warm_premium() {
+        let (mut cold, mut warm) = ((0, 0), (0, 0));
+        for (side, objects) in [(4, 4), (6, 8)] {
+            for seed in 100..112 {
+                let mut s = pinned_scenario();
+                s.topology = TopologyKind::Grid {
+                    rows: side,
+                    cols: side,
+                };
+                s.nodes = side * side;
+                s.workload.num_objects = objects;
+                s.seed = seed;
+                s.timeline.as_mut().expect("pinned timeline").slots = 8;
+                let report = run_timeline(&s, "approx", &SolveRequest::new()).unwrap();
+                let premium = report.premium();
+                assert!(
+                    premium <= MAX_WARM_PREMIUM,
+                    "{side}x{side}, {objects} objects, seed {seed}: premium {premium:.4}"
+                );
+                for sl in &report.slots {
+                    cold = (cold.0 + sl.cold_moved, cold.1 + sl.cold_fl_moves);
+                    warm = (warm.0 + sl.warm_moved, warm.1 + sl.warm_fl_moves);
+                }
+            }
+        }
+        assert!(
+            warm.0 < cold.0,
+            "copies added: warm {} vs cold {}",
+            warm.0,
+            cold.0
+        );
+        assert!(
+            warm.1 < cold.1,
+            "phase-1 moves: warm {} vs cold {}",
+            warm.1,
+            cold.1
+        );
     }
 }

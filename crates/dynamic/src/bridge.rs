@@ -49,14 +49,6 @@ impl StaticOracle {
         })
     }
 
-    /// An oracle over an already-constructed solver.
-    pub fn from_solver(engine: Box<dyn Solver>) -> Self {
-        StaticOracle {
-            engine,
-            request: SolveRequest::new(),
-        }
-    }
-
     /// Replaces the [`SolveRequest`] the wrapped engine is driven with
     /// (seed, FL backend, capacities, thread cap, ...).
     pub fn request(mut self, request: SolveRequest) -> Self {
