@@ -6,7 +6,7 @@ use dmn_core::placement::Placement;
 use dmn_core::radii::RadiusTable;
 use dmn_core::telemetry;
 use dmn_facility::{FlInstance, FlWorkspace, LocalSearchConfig, NearestCopyOracle, SearchStats};
-use dmn_graph::{truncated_closure, Graph, Metric, NodeId};
+use dmn_graph::{Graph, Metric, NodeId, TruncatedClosure};
 
 use crate::sparse_path::{candidate_set, SparseOpts};
 
@@ -46,7 +46,8 @@ pub struct PhaseTrace {
 /// per-object placement.
 ///
 /// The radius-table construction is attributed to phase 2 (it exists for
-/// the radius phases).
+/// the radius phases). A closure row a sparse source builds during a
+/// phase is not: it is metric time ([`PlaceOutcome::metric_seconds`]).
 ///
 /// Since the telemetry layer landed, these fields are shims over the one
 /// span source: each phase is timed by a [`dmn_core::telemetry`] span
@@ -89,7 +90,8 @@ pub enum MetricSource<'a> {
     /// The dense all-pairs closure over every node.
     Dense(&'a Metric),
     /// A truncated closure over a candidate ball around the object's
-    /// clients, built per object (see [`crate::sparse_path`]).
+    /// clients, per object, with only the rows the phases read built
+    /// (see [`crate::sparse_path`]).
     Sparse(&'a Graph, &'a SparseOpts),
 }
 
@@ -100,11 +102,15 @@ pub struct PlaceOutcome {
     pub trace: PhaseTrace,
     /// Per-phase timings (facility / radius-add / radius-prune).
     pub timings: PhaseTimings,
-    /// Seconds spent building the truncated closure (0 on a dense source).
+    /// Seconds spent choosing the candidate ball and building closure
+    /// rows (0 on a dense source).
     pub metric_seconds: f64,
     /// Size of the node set the object was solved over (every node on a
     /// dense source).
     pub candidates: usize,
+    /// Closure rows built, one per node whose row a phase read (0 on a
+    /// dense source).
+    pub rows_built: usize,
     /// True when a warm seed survived sanitizing and started phase 1.
     pub warm_seeded: bool,
 }
@@ -183,21 +189,22 @@ pub fn place_object_with(
             let seed = warm
                 .and_then(|set| usable_seed(set.iter().copied().filter(|&v| v < n), storage_cost));
             let warm_seeded = seed.is_some();
-            let (trace, timings) =
-                run_phases(ws, metric, storage_cost, &masses, w_total, cfg, seed);
+            let rows = &mut Rows::Dense(metric);
+            let (trace, timings) = run_phases(ws, rows, storage_cost, &masses, w_total, cfg, seed);
             PlaceOutcome {
                 trace,
                 timings,
                 metric_seconds: 0.0,
                 candidates: n,
+                rows_built: 0,
                 warm_seeded,
             }
         }
         MetricSource::Sparse(graph, opts) => {
             let span = telemetry::span(telemetry::spans::SOLVE_METRIC_BUILD);
             let cand = candidate_set(graph, storage_cost, workload, opts);
-            let metric = truncated_closure(graph, &cand);
-            let metric_seconds = span.finish();
+            let mut closure = TruncatedClosure::new(graph, &cand);
+            let mut metric_seconds = span.finish();
             // Local index i ↔ global node cand[i]; every client is inside
             // the ball, so no request mass is lost.
             let cs: Vec<f64> = cand.iter().map(|&v| storage_cost[v]).collect();
@@ -206,7 +213,8 @@ pub fn place_object_with(
                 usable_seed(set.iter().filter_map(|v| cand.binary_search(v).ok()), &cs)
             });
             let warm_seeded = seed.is_some();
-            let (trace, timings) = run_phases(ws, &metric, &cs, &masses, w_total, cfg, seed);
+            let rows = &mut Rows::Lazy(&mut closure, &mut metric_seconds);
+            let (trace, timings) = run_phases(ws, rows, &cs, &masses, w_total, cfg, seed);
             // Back to global ids; `cand` is ascending, so sorted stays sorted.
             let lift = |local: Vec<NodeId>| local.into_iter().map(|i| cand[i]).collect();
             PlaceOutcome {
@@ -218,8 +226,46 @@ pub fn place_object_with(
                 timings,
                 metric_seconds,
                 candidates: cand.len(),
+                rows_built: closure.rows_built(),
                 warm_seeded,
             }
+        }
+    }
+}
+
+/// The distance rows of one object's phases.
+pub(crate) enum Rows<'r, 'g> {
+    /// A dense metric: every row exists.
+    Dense(&'r Metric),
+    /// A truncated closure that builds each row when a phase first needs
+    /// it, and the object's metric seconds, which every build adds to.
+    Lazy(&'r mut TruncatedClosure<'g>, &'r mut f64),
+}
+
+impl Rows<'_, '_> {
+    fn metric(&self) -> &Metric {
+        match self {
+            Rows::Dense(metric) => metric,
+            Rows::Lazy(closure, _) => closure.metric(),
+        }
+    }
+
+    fn is_built(&self, v: NodeId) -> bool {
+        match self {
+            Rows::Dense(_) => true,
+            Rows::Lazy(closure, _) => closure.is_built(v),
+        }
+    }
+
+    /// Builds the missing rows among `nodes` as one `solve.metric-build`
+    /// span.
+    fn request(&mut self, nodes: impl IntoIterator<Item = NodeId>) {
+        if let Rows::Lazy(closure, seconds) = self {
+            let span = telemetry::span(telemetry::spans::SOLVE_METRIC_BUILD);
+            for v in nodes {
+                closure.build_row(v);
+            }
+            **seconds += span.finish();
         }
     }
 }
@@ -227,34 +273,51 @@ pub fn place_object_with(
 /// The usable part of a warm seed already in local ids: sites with finite
 /// storage cost, sorted and deduplicated. `None` when nothing survives —
 /// the seed is stale and the cold start is the honest fallback.
-fn usable_seed(local: impl Iterator<Item = NodeId>, storage_cost: &[f64]) -> Option<Vec<NodeId>> {
+pub(crate) fn usable_seed(
+    local: impl Iterator<Item = NodeId>,
+    storage_cost: &[f64],
+) -> Option<Vec<NodeId>> {
     let mut ok: Vec<NodeId> = local.filter(|&v| storage_cost[v].is_finite()).collect();
     ok.sort_unstable();
     ok.dedup();
     (!ok.is_empty()).then_some(ok)
 }
 
-/// Phases 1–3 for one object over local ids: `metric`, `storage_cost` and
+/// Phases 1–3 for one object over local ids: `rows`, `storage_cost` and
 /// `masses` index the same node set, and `seed` (when present) is a
 /// sanitized phase-1 start for a local-search backend.
-fn run_phases(
+///
+/// Every read of the phases lands on a row with a client or a copy at
+/// its head: phase 1 reads the clients' rows (every row for a cold
+/// backend that reads others), the radii read the clients' rows, the
+/// oracle and phase 3 the copies' rows. Each row is requested from `rows`
+/// before its first read.
+pub(crate) fn run_phases(
     ws: &mut FlWorkspace,
-    metric: &Metric,
+    rows: &mut Rows<'_, '_>,
     storage_cost: &[f64],
     masses: &[f64],
     w_total: f64,
     cfg: &ApproxConfig,
     seed: Option<Vec<NodeId>>,
 ) -> (PhaseTrace, PhaseTimings) {
+    let n = masses.len();
+    let all_rows = seed.is_none() && !cfg.fl_solver.reads_only_client_rows();
+    rows.request((0..n).filter(|&v| all_rows || masses[v] > 0.0));
     let mut timings = PhaseTimings::default();
     let span = telemetry::span(telemetry::spans::SOLVE_FACILITY);
 
     // Phase 1: facility location on the related problem (writes as reads).
     // Costs and demands are borrowed, not cloned, into the instance.
-    let fl = FlInstance::new(metric, storage_cost, masses);
+    let fl = FlInstance::new(rows.metric(), storage_cost, masses);
     let ls_cfg = LocalSearchConfig::default();
     let (sol, fl_stats) = match (cfg.fl_solver, seed) {
-        // Only local-search backends receive a seed.
+        // Only local-search backends receive a seed, and each runs its
+        // own loop from it.
+        (FlSolverKind::LocalSearchRef, Some(seed)) => (
+            dmn_facility::local_search_reference_from(&fl, &seed, &ls_cfg),
+            SearchStats::default(),
+        ),
         (_, Some(seed)) => {
             let s = ws.local_search_from(&fl, &seed, &ls_cfg);
             (s, ws.last_stats())
@@ -275,18 +338,18 @@ fn run_phases(
     timings.facility = span.finish();
     timings.fl_moves = fl_stats.moves;
     timings.fl_candidates = fl_stats.candidates;
-    let span = telemetry::span(telemetry::spans::SOLVE_RADIUS_ADD);
+    rows.request(copies.iter().copied());
+    let mut span = telemetry::span(telemetry::spans::SOLVE_RADIUS_ADD);
 
     // Radii (Section 2.1) — fixed for phases 2 and 3.
-    let radii = RadiusTable::compute(metric, masses, w_total, storage_cost);
+    let radii = RadiusTable::compute(rows.metric(), masses, w_total, storage_cost);
 
     // Phase 2: while a node is farther than 5·rs(v) from every copy, store
     // a copy at v. (Order does not matter for the guarantee; we scan
     // round-robin until stable.) The oracle answers each query in O(1)
-    // with exactly `metric.nearest_in`'s distance.
-    let n = metric.len();
+    // with the minimum over copies c of d(c, v).
     let mut oracle = NearestCopyOracle::new(n);
-    oracle.reset(metric, &copies);
+    oracle.reset(rows.metric(), &copies);
     loop {
         let mut added = false;
         for v in 0..n {
@@ -302,7 +365,14 @@ fn run_phases(
             }
             if oracle.nearest_dist(v) > STORAGE_ADD_FACTOR * rs {
                 copies.insert(pos, v);
-                oracle.add_copy(metric, v);
+                if !rows.is_built(v) {
+                    // The row is metric time: cut this phase's span
+                    // around it.
+                    timings.radius_add += span.finish();
+                    rows.request([v]);
+                    span = telemetry::span(telemetry::spans::SOLVE_RADIUS_ADD);
+                }
+                oracle.add_copy(rows.metric(), v);
                 added = true;
             }
         }
@@ -311,13 +381,14 @@ fn run_phases(
         }
     }
     let after_phase2 = copies.clone();
-    timings.radius_add = span.finish();
+    timings.radius_add += span.finish();
     let span = telemetry::span(telemetry::spans::SOLVE_RADIUS_PRUNE);
 
     // Phase 3: scan copy holders in ascending write radius; the current
     // node keeps its copy and deletes every other copy u with
     // ct(u, v) <= 4·rw(u).
     if w_total > 0.0 {
+        let metric = rows.metric();
         let mut order: Vec<NodeId> = copies.clone();
         order.sort_by(|&a, &b| {
             radii.write_radius[a]

@@ -50,7 +50,8 @@ fn usage() -> ! {
          dense O(n^2) APSP table (the 10k-node path); timeline exits 1 unless the\n\
          warm chain adds fewer copies and phase-1 moves than cold within the pinned\n\
          cost premium. Only engines that consume warm seeds (approx and the engines\n\
-         built on it) can pass; others solve both chains alike and read false."
+         built on it) can pass; others solve both chains alike and read false, and so\n\
+         do local-search-ref chains, whose reference loop reports 0 phase-1 moves."
     );
     std::process::exit(2);
 }
@@ -244,10 +245,11 @@ fn run_perf_smoke(args: &[String]) {
                 std::process::exit(1);
             }
             Some(scale) => println!(
-                "perf-smoke: {}-node sparse solve in {:.1}s ({:.0} closure rows, \
-                 metric build {:.2}s); control cost ratio {:.4}",
+                "perf-smoke: {}-node sparse solve in {:.1}s ({:.0} closure rows built for \
+                 {:.0} ball nodes, metric build {:.2}s); control cost ratio {:.4}",
                 scale.nodes,
                 scale.wall_seconds,
+                scale.rows_built,
                 scale.candidate_rows,
                 scale.metric_build_seconds,
                 outcome.sparse_cost_ratio
@@ -279,7 +281,8 @@ fn run_perf_smoke(args: &[String]) {
 /// `scenarios/grid_timeline.json` scenario and the `approx` engine;
 /// `--scenario PATH` loads any scenario JSON with a `timeline` block.
 /// Exits non-zero unless `TimelineReport::timeline_ok` holds, which
-/// engines that ignore warm seeds never pass.
+/// engines that ignore warm seeds never pass, nor a `local-search-ref`
+/// phase 1, which reports 0 moves.
 fn run_timeline(args: &[String]) {
     let mut out = "TIMELINE_ci.json".to_string();
     let mut engine = "approx".to_string();

@@ -90,7 +90,8 @@ pub fn run() -> Report {
             "ratio",
             "dense metric (ms)",
             "sparse metric (ms)",
-            "closure rows",
+            "ball nodes",
+            "rows built",
             "dense wall (ms)",
             "sparse wall (ms)",
         ],
@@ -116,6 +117,7 @@ pub fn run() -> Report {
             format!("{:.2}", dense.metric_build_seconds() * 1e3),
             format!("{:.2}", sparse.metric_build_seconds() * 1e3),
             format!("{:.0}", meta_count(&sparse, "sparse-candidate-rows")),
+            format!("{:.0}", meta_count(&sparse, "sparse-rows-built")),
             format!("{:.1}", dense.wall_seconds * 1e3),
             format!("{:.1}", sparse.wall_seconds * 1e3),
         ]);

@@ -210,8 +210,12 @@ pub struct ScaleOutcome {
     /// Total cost of the sparse placement (exact, via per-copy
     /// Dijkstra evaluation — the dense closure is never built).
     pub total_cost: f64,
-    /// Truncated closure rows built across all objects.
+    /// Candidate-ball nodes summed over objects (`sparse-candidate-rows`):
+    /// the rows a closure over each whole ball would hold.
     pub candidate_rows: f64,
+    /// Closure rows actually built, summed over objects
+    /// (`sparse-rows-built`).
+    pub rows_built: f64,
     /// True when the wall clock is under [`MAX_SCALE_WALL_SECONDS`]
     /// (always true in debug builds, where timings mean nothing).
     pub within_budget: bool,
@@ -227,6 +231,7 @@ impl ScaleOutcome {
             ("metric_build_seconds", Json::Num(self.metric_build_seconds)),
             ("total_cost", Json::Num(self.total_cost)),
             ("candidate_rows", Json::Num(self.candidate_rows)),
+            ("rows_built", Json::Num(self.rows_built)),
             ("max_wall_seconds", Json::Num(MAX_SCALE_WALL_SECONDS)),
             ("within_budget", Json::Bool(self.within_budget)),
         ])
@@ -250,6 +255,7 @@ pub fn run_scale(scenario: &Scenario) -> ScaleOutcome {
         metric_build_seconds: report.metric_build_seconds(),
         total_cost: report.cost.total(),
         candidate_rows: meta_count(&report, "sparse-candidate-rows"),
+        rows_built: meta_count(&report, "sparse-rows-built"),
         within_budget: cfg!(debug_assertions) || report.wall_seconds <= MAX_SCALE_WALL_SECONDS,
     }
 }
@@ -788,6 +794,7 @@ mod tests {
             metric_build_seconds: 0.5,
             total_cost: 1.0,
             candidate_rows: 100.0,
+            rows_built: 40.0,
             within_budget,
         };
         outcome.attach_scale(scale(false));
@@ -852,6 +859,8 @@ mod tests {
             "\"sparse_cost_ratio\"",
             "\"sparse_within_eps\"",
             "\"metric_build_seconds\"",
+            "\"candidate_rows\"",
+            "\"rows_built\"",
             "\"metric_backend\"",
             "\"chaos\"",
             "\"chaos_ok\"",
@@ -915,10 +924,15 @@ mod tests {
                 &SolveRequest::new().metric_backend(MetricBackend::Sparse),
             );
         let rows = meta_count(&report, "sparse-candidate-rows");
-        assert!(rows > 0.0, "sparse run reports its closure rows");
+        assert!(rows > 0.0, "sparse run reports its ball sizes");
         assert!(
             rows < (instance.num_nodes() * instance.num_objects()) as f64,
             "candidate balls cover the whole graph — the control is not truncating"
+        );
+        let built = meta_count(&report, "sparse-rows-built");
+        assert!(
+            built > 0.0 && built <= rows,
+            "closure rows built ({built}) must be a part of the balls ({rows})"
         );
     }
 }

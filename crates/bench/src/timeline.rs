@@ -164,7 +164,8 @@ impl TimelineReport {
     /// phase-1 moves than cold, at a [`premium`](Self::premium) of at most
     /// [`MAX_WARM_PREMIUM`]. Both counts are strict, so a chain whose
     /// seeds are dropped equals cold and fails; engines that ignore warm
-    /// seeds read false.
+    /// seeds read false, and so does a `local-search-ref` phase 1, whose
+    /// reference loop reports 0 moves on both chains.
     pub fn timeline_ok(&self) -> bool {
         let sum = |f: fn(&SlotReport) -> usize| self.slots.iter().map(f).sum::<usize>();
         sum(|s| s.warm_moved) < sum(|s| s.cold_moved)

@@ -23,6 +23,11 @@ use dmn_graph::{Metric, NodeId};
 ///
 /// `g(z)` = sum of distances of the `z` closest request units; `d(v, z)`
 /// = `g(z) / z`.
+///
+/// The profile of node `v` reads `d(u, v)` from each client `u`'s row,
+/// not `v`'s own row. A sparse metric source then needs only the clients'
+/// rows, and both sources read the same entries, so they agree bit for
+/// bit even where a closure is symmetric only up to an ulp.
 #[derive(Debug, Clone)]
 pub struct DistanceProfile {
     /// (distance, request mass at that distance), sorted by distance.
@@ -35,15 +40,21 @@ pub struct DistanceProfile {
 
 impl DistanceProfile {
     /// Builds the profile of node `v` against the request `masses`
-    /// (combined read + write frequency per node).
+    /// (combined read + write frequency per node), from `d(u, v)` for
+    /// every client `u` in ascending order.
     pub fn new(metric: &Metric, masses: &[f64], v: NodeId) -> Self {
-        let row = metric.row(v);
-        let mut entries: Vec<(f64, f64)> = masses
-            .iter()
-            .enumerate()
-            .filter(|&(_, &m)| m > 0.0)
-            .map(|(u, &m)| (row[u], m))
-            .collect();
+        DistanceProfile::from_entries(
+            masses
+                .iter()
+                .enumerate()
+                .filter(|&(_, &m)| m > 0.0)
+                .map(|(u, &m)| (metric.dist(u, v), m))
+                .collect(),
+        )
+    }
+
+    /// The profile of `(distance, mass)` pairs in ascending client order.
+    fn from_entries(mut entries: Vec<(f64, f64)>) -> Self {
         entries.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("distances are not NaN"));
         let mut cum_mass = Vec::with_capacity(entries.len());
         let mut cum_cost = Vec::with_capacity(entries.len());
@@ -157,12 +168,19 @@ pub struct RadiusTable {
     pub storage_number: Vec<f64>,
 }
 
+/// Nodes whose profile entries [`RadiusTable::compute`] gathers at once.
+const GATHER_BLOCK: usize = 16;
+
 impl RadiusTable {
     /// Computes write and storage radii for every node.
     ///
     /// * `masses` — combined request mass per node (`fr + fw`),
     /// * `total_writes` — the paper's `W`,
     /// * `storage_cost` — `cs` per node.
+    ///
+    /// Reads only the clients' rows (see [`DistanceProfile`]). Each
+    /// client row is read 16 nodes at a time, so the gather stays
+    /// row-major instead of walking one column per node.
     pub fn compute(
         metric: &Metric,
         masses: &[f64],
@@ -172,19 +190,38 @@ impl RadiusTable {
         let n = metric.len();
         assert_eq!(masses.len(), n);
         assert_eq!(storage_cost.len(), n);
+        let clients: Vec<(NodeId, f64)> = masses
+            .iter()
+            .enumerate()
+            .filter(|&(_, &m)| m > 0.0)
+            .map(|(u, &m)| (u, m))
+            .collect();
+        let c = clients.len();
         let mut write_radius = vec![0.0; n];
         let mut storage_radius = vec![0.0; n];
         let mut storage_number = vec![0.0; n];
-        for v in 0..n {
-            let profile = DistanceProfile::new(metric, masses, v);
-            write_radius[v] = if total_writes > 0.0 {
-                profile.avg_dist(total_writes)
-            } else {
-                0.0
-            };
-            let (zs, rs) = profile.storage_number_and_radius(storage_cost[v]);
-            storage_number[v] = zs;
-            storage_radius[v] = rs;
+        // block[b * c + j] = d(clients[j], v0 + b).
+        let mut block = vec![0.0; GATHER_BLOCK * c];
+        for v0 in (0..n).step_by(GATHER_BLOCK) {
+            let width = GATHER_BLOCK.min(n - v0);
+            for (j, &(u, _)) in clients.iter().enumerate() {
+                for (b, &d) in metric.row(u)[v0..v0 + width].iter().enumerate() {
+                    block[b * c + j] = d;
+                }
+            }
+            for (b, v) in (v0..v0 + width).enumerate() {
+                let dists = &block[b * c..(b + 1) * c];
+                let entries = dists.iter().zip(&clients).map(|(&d, &(_, m))| (d, m));
+                let profile = DistanceProfile::from_entries(entries.collect());
+                write_radius[v] = if total_writes > 0.0 {
+                    profile.avg_dist(total_writes)
+                } else {
+                    0.0
+                };
+                let (zs, rs) = profile.storage_number_and_radius(storage_cost[v]);
+                storage_number[v] = zs;
+                storage_radius[v] = rs;
+            }
         }
         RadiusTable {
             write_radius,

@@ -111,6 +111,22 @@ impl Solver {
         Solver::ALL.into_iter().find(|k| k.name() == name)
     }
 
+    /// True when a cold solve reads distances only from client rows,
+    /// `d(client, ·)`, so a metric built row by row needs no other row.
+    ///
+    /// The local searches (including the reference) and the exhaustive
+    /// solver price a facility set by each client's nearest facility.
+    /// Mettu–Plaxton's blocking test reads `d(open, site)`, and so does
+    /// the cold [`Solver::LocalSearchWarm`] start it seeds. Greedy and
+    /// Jain–Vazirani read `d(site, client)`. A seeded start runs a local
+    /// search whatever the solver, so it reads client rows only.
+    pub fn reads_only_client_rows(self) -> bool {
+        matches!(
+            self,
+            Solver::LocalSearch | Solver::LocalSearchRef | Solver::Exact
+        )
+    }
+
     /// Runs the selected solver.
     pub fn solve(self, inst: &FlInstance) -> FlSolution {
         match self {

@@ -41,7 +41,7 @@ impl ShortestPaths {
 }
 
 /// Min-heap entry of the Dijkstra searches in this crate.
-#[derive(PartialEq)]
+#[derive(Debug, PartialEq)]
 pub(crate) struct HeapItem {
     pub(crate) dist: f64,
     pub(crate) node: NodeId,

@@ -165,24 +165,6 @@ impl Graph {
         self.n >= 1 && self.edges.len() == self.n - 1 && self.is_connected()
     }
 
-    /// Rebuilds adjacency lists from the edge list. Needed after
-    /// deserialization (adjacency is not serialized).
-    pub fn rebuild_adjacency(&mut self) {
-        self.adj = vec![Vec::new(); self.n];
-        for (id, e) in self.edges.iter().enumerate() {
-            self.adj[e.u].push(Arc {
-                to: e.v,
-                w: e.w,
-                edge: id,
-            });
-            self.adj[e.v].push(Arc {
-                to: e.u,
-                w: e.w,
-                edge: id,
-            });
-        }
-    }
-
     /// Builds a graph directly from an edge list.
     pub fn from_edges(n: usize, edges: impl IntoIterator<Item = (NodeId, NodeId, f64)>) -> Self {
         let mut g = Graph::new(n);

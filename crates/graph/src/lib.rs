@@ -20,8 +20,9 @@
 //! * rooted-[`tree`] utilities including the balanced binarization that
 //!   Theorem 13 of the paper uses to simulate arbitrary trees on binary ones.
 //!
-//! All costs are `f64` and required to be finite and non-negative; the crate
-//! never constructs NaN values.
+//! All costs are `f64` and required to be finite and non-negative. The one
+//! NaN the crate constructs marks a row of a [`TruncatedClosure`] that was
+//! never built, so that no reader can take it for a distance.
 
 // Node ids are dense indices throughout this workspace; looping over
 // `0..n` and indexing by node id is the domain idiom.
@@ -44,26 +45,9 @@ pub use dsu::DisjointSets;
 pub use graph::{EdgeId, Graph, NodeId};
 pub use metric::Metric;
 pub use mst::{kruskal, metric_mst, metric_mst_weight, prim, MstResult};
-pub use sparse::{ball_candidates, truncated_closure};
+pub use sparse::{ball_candidates, truncated_closure, TruncatedClosure};
 pub use steiner::{dreyfus_wagner, steiner_2approx_weight};
 pub use tree::RootedTree;
 
 /// Cost / weight scalar used across the workspace.
 pub type Cost = f64;
-
-/// Comparison tolerance for cost arithmetic in tests and invariant checks.
-pub const EPS: f64 = 1e-9;
-
-/// Returns true when `a` and `b` are equal up to a relative/absolute blend of
-/// [`EPS`], suitable for comparing sums of non-negative costs.
-#[inline]
-pub fn approx_eq(a: f64, b: f64) -> bool {
-    let scale = 1.0_f64.max(a.abs()).max(b.abs());
-    (a - b).abs() <= EPS * scale
-}
-
-/// Returns true when `a <= b` up to cost tolerance.
-#[inline]
-pub fn approx_le(a: f64, b: f64) -> bool {
-    a <= b + EPS * 1.0_f64.max(a.abs()).max(b.abs())
-}

@@ -58,17 +58,35 @@ impl Metric {
         self.n == 0
     }
 
-    /// Distance between `u` and `v`.
+    /// Distance between `u` and `v`, read from `u`'s row.
     #[inline]
     pub fn dist(&self, u: NodeId, v: NodeId) -> f64 {
         debug_assert!(u < self.n && v < self.n);
+        self.debug_assert_built(u);
         self.d[u * self.n + v]
     }
 
     /// Row of distances from `u` to every node.
     #[inline]
     pub fn row(&self, u: NodeId) -> &[f64] {
+        self.debug_assert_built(u);
         &self.d[u * self.n..(u + 1) * self.n]
+    }
+
+    /// Every built row has a zero diagonal entry; a
+    /// [`TruncatedClosure`](crate::sparse::TruncatedClosure) row that was
+    /// never built holds NaN there.
+    #[inline]
+    fn debug_assert_built(&self, u: NodeId) {
+        debug_assert!(
+            self.d[u * self.n + u] == 0.0,
+            "row {u} was never built (its diagonal entry is not 0)"
+        );
+    }
+
+    /// Mutable row of `u`, for filling a row of a lazily built closure.
+    pub(crate) fn row_mut(&mut self, u: NodeId) -> &mut [f64] {
+        &mut self.d[u * self.n..(u + 1) * self.n]
     }
 
     /// Distance from `v` to the closest node in `set`, together with the

@@ -8,10 +8,11 @@
 //! * [`ball_candidates`]: a candidate facility set grown around a client
 //!   cloud by multi-source Dijkstra (the "interesting" nodes per object in
 //!   the doubling-metric-decomposition sense), and
-//! * [`truncated_closure`]: the exact restriction of the metric closure to
-//!   that set, built by one early-stopped Dijkstra per target —
-//!   bit-identical to `apsp(g).restrict(targets)` because every row *is* a
-//!   Dijkstra run from that target.
+//! * [`TruncatedClosure`]: the exact restriction of the metric closure to
+//!   that set, one row per early-stopped Dijkstra from its target, built
+//!   only when a caller requests it. [`truncated_closure`] requests every
+//!   row. Each row is bit-identical to the matching entries of
+//!   `apsp(g)`, because every row *is* a Dijkstra run from that target.
 
 use std::collections::BinaryHeap;
 
@@ -19,34 +20,71 @@ use crate::dijkstra::HeapItem;
 use crate::graph::{Graph, NodeId};
 use crate::metric::Metric;
 
-/// Exact metric closure restricted to `targets`: `result.dist(i, j)` is the
-/// shortest-path distance between `targets[i]` and `targets[j]` in `g`.
+/// The metric closure restricted to `targets`, with rows built on request.
 ///
-/// One Dijkstra per target, each stopped as soon as every target has
-/// settled, so the work per row is proportional to the ball around the
-/// target set rather than the whole graph. Values are bit-identical to
-/// `apsp(g).restrict(targets)` (a dense row is the same Dijkstra run to
-/// completion).
+/// Row `i` holds the shortest-path distances from `targets[i]` to every
+/// target. [`build_row`](Self::build_row) fills it with one Dijkstra from
+/// `targets[i]`, stopped as soon as every target has settled, so a row
+/// costs the ball around the target set rather than the whole graph. The
+/// table, the per-row built flags, the node-to-target map and the
+/// Dijkstra scratch live here and are reused across rows.
 ///
-/// # Panics
-/// Panics when some pair of targets is disconnected, or when `targets`
-/// contains duplicates.
-pub fn truncated_closure(g: &Graph, targets: &[NodeId]) -> Metric {
-    let n = g.num_nodes();
-    let k = targets.len();
-    let mut pos = vec![usize::MAX; n];
-    for (i, &t) in targets.iter().enumerate() {
-        assert!(pos[t] == usize::MAX, "duplicate target {t}");
-        pos[t] = i;
+/// A row that was never built holds NaN, so it cannot pass for a
+/// distance; debug builds panic when [`Metric::row`] or [`Metric::dist`]
+/// reads one.
+#[derive(Debug)]
+pub struct TruncatedClosure<'a> {
+    graph: &'a Graph,
+    targets: &'a [NodeId],
+    /// `pos[v]` is `v`'s index in `targets`, or `usize::MAX`.
+    pos: Vec<usize>,
+    metric: Metric,
+    built: Vec<bool>,
+    /// Dijkstra labels over the whole graph.
+    dist: Vec<f64>,
+    heap: BinaryHeap<HeapItem>,
+}
+
+impl<'a> TruncatedClosure<'a> {
+    /// A closure over `targets` in `g` with no row built yet.
+    ///
+    /// # Panics
+    /// Panics when `targets` contains duplicates.
+    pub fn new(g: &'a Graph, targets: &'a [NodeId]) -> Self {
+        let n = g.num_nodes();
+        let k = targets.len();
+        let mut pos = vec![usize::MAX; n];
+        for (i, &t) in targets.iter().enumerate() {
+            assert!(pos[t] == usize::MAX, "duplicate target {t}");
+            pos[t] = i;
+        }
+        TruncatedClosure {
+            graph: g,
+            targets,
+            pos,
+            metric: Metric::from_matrix(k, vec![f64::NAN; k * k]),
+            built: vec![false; k],
+            dist: vec![f64::INFINITY; n],
+            heap: BinaryHeap::with_capacity(k.max(64)),
+        }
     }
-    let mut d = vec![0.0; k * k];
-    let mut dist = vec![f64::INFINITY; n];
-    let mut heap = BinaryHeap::with_capacity(k.max(64));
-    for (i, &s) in targets.iter().enumerate() {
+
+    /// Builds row `i` (the distances from `targets[i]`) unless it exists.
+    ///
+    /// # Panics
+    /// Panics when some target is unreachable from `targets[i]`.
+    pub fn build_row(&mut self, i: usize) {
+        if self.built[i] {
+            return;
+        }
+        let (g, targets, pos) = (self.graph, self.targets, &self.pos);
+        let (dist, heap) = (&mut self.dist, &mut self.heap);
+        let k = targets.len();
         // Reset only what the previous run touched is more bookkeeping than
         // it is worth; a fill is O(n) against an O(ball log ball) search.
         dist.fill(f64::INFINITY);
         heap.clear();
+        let s = targets[i];
         dist[s] = 0.0;
         heap.push(HeapItem { dist: 0.0, node: s });
         let mut settled = 0usize;
@@ -71,15 +109,53 @@ pub fn truncated_closure(g: &Graph, targets: &[NodeId]) -> Metric {
                 }
             }
         }
-        for (j, &t) in targets.iter().enumerate() {
+        for (slot, &t) in self.metric.row_mut(i).iter_mut().zip(targets) {
             assert!(
                 dist[t].is_finite(),
                 "truncated closure requires targets in one connected component"
             );
-            d[i * k + j] = dist[t];
+            *slot = dist[t];
         }
+        self.built[i] = true;
     }
-    Metric::from_matrix(k, d)
+
+    /// True when row `i` has been built.
+    pub fn is_built(&self, i: usize) -> bool {
+        self.built[i]
+    }
+
+    /// Number of rows built so far.
+    pub fn rows_built(&self) -> usize {
+        self.built.iter().filter(|&&b| b).count()
+    }
+
+    /// The table over target indices; only built rows may be read.
+    pub fn metric(&self) -> &Metric {
+        &self.metric
+    }
+
+    /// The table, once every row a caller reads has been built.
+    pub(crate) fn into_metric(self) -> Metric {
+        self.metric
+    }
+}
+
+/// Exact metric closure restricted to `targets`: `result.dist(i, j)` is the
+/// shortest-path distance between `targets[i]` and `targets[j]` in `g`.
+///
+/// Every row of a [`TruncatedClosure`], built in target order. Values are
+/// bit-identical to `apsp(g).restrict(targets)` (a dense row is the same
+/// Dijkstra run to completion).
+///
+/// # Panics
+/// Panics when some pair of targets is disconnected, or when `targets`
+/// contains duplicates.
+pub fn truncated_closure(g: &Graph, targets: &[NodeId]) -> Metric {
+    let mut closure = TruncatedClosure::new(g, targets);
+    for i in 0..targets.len() {
+        closure.build_row(i);
+    }
+    closure.into_metric()
 }
 
 /// Grows a candidate node set around `seeds` to roughly `target_size` nodes
@@ -155,6 +231,44 @@ mod tests {
                 assert_eq!(dense.dist(i, j).to_bits(), sparse.dist(i, j).to_bits());
             }
         }
+
+        // Rows requested one by one, in a shuffled order and only some of
+        // them, equal the eager rows bit for bit; the rest stay unbuilt.
+        let mut lazy = TruncatedClosure::new(&g, &subset);
+        for i in [4, 1, 4, 2] {
+            lazy.build_row(i);
+        }
+        assert_eq!(lazy.rows_built(), 3);
+        for i in 0..subset.len() {
+            assert_eq!(lazy.is_built(i), [1, 2, 4].contains(&i), "row {i}");
+            if lazy.is_built(i) {
+                assert_eq!(bits(lazy.metric().row(i)), bits(sparse.row(i)), "row {i}");
+            }
+        }
+        for i in [5, 0, 3] {
+            lazy.build_row(i);
+        }
+        assert_eq!(lazy.rows_built(), subset.len());
+        let lazy = lazy.into_metric();
+        for i in 0..subset.len() {
+            assert_eq!(bits(lazy.row(i)), bits(sparse.row(i)), "row {i}");
+        }
+    }
+
+    fn bits(row: &[f64]) -> Vec<u64> {
+        row.iter().map(|d| d.to_bits()).collect()
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "never built"))]
+    fn unbuilt_rows_hold_no_distance() {
+        let g = generators::path(4, |_| 1.0);
+        let targets = [0, 2, 3];
+        let mut lazy = TruncatedClosure::new(&g, &targets);
+        lazy.build_row(1);
+        assert_eq!(lazy.metric().row(1), &[2.0, 0.0, 1.0]);
+        // Debug builds panic on this read; release builds read NaN.
+        assert!(lazy.metric().dist(0, 1).is_nan());
     }
 
     #[test]

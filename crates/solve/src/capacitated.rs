@@ -78,18 +78,6 @@ impl CapacitatedSolver {
         }
     }
 
-    /// Parses any spelling of a capacitated engine name (`capacitated`,
-    /// `cap:<inner>`); `None` when `name` is not capacitated-family.
-    pub fn parse(name: &str) -> Option<CapacitatedSolver> {
-        match crate::spec::SolverSpec::parse(name).ok()? {
-            crate::spec::SolverSpec::Capacitated(inner) => match *inner {
-                crate::spec::SolverSpec::Base(base) => Some(CapacitatedSolver::for_base(base)),
-                _ => None,
-            },
-            _ => None,
-        }
-    }
-
     /// The engine over a known-canonical base name.
     fn for_base(base: &'static str) -> CapacitatedSolver {
         if base == "approx" {
@@ -103,11 +91,6 @@ impl CapacitatedSolver {
                  search; cost <= greedy repair of {base}"
             )),
         }
-    }
-
-    /// The inner engine's registry name.
-    pub fn inner_name(&self) -> &'static str {
-        self.inner
     }
 }
 
@@ -361,7 +344,6 @@ mod tests {
         );
         let g = CapacitatedSolver::over("greedy-local").unwrap();
         assert_eq!(g.name(), "cap:greedy-local");
-        assert_eq!(g.inner_name(), "greedy-local");
         assert!(CapacitatedSolver::over("no-such").is_none());
         assert!(
             CapacitatedSolver::over("sharded-approx").is_none(),
@@ -371,26 +353,5 @@ mod tests {
             CapacitatedSolver::over("capacitated").is_none(),
             "no nesting"
         );
-    }
-
-    #[test]
-    fn parse_accepts_both_spellings() {
-        assert_eq!(
-            CapacitatedSolver::parse("capacitated")
-                .unwrap()
-                .inner_name(),
-            "approx"
-        );
-        assert_eq!(
-            CapacitatedSolver::parse("cap:tree-dp").unwrap().name(),
-            "cap:tree-dp"
-        );
-        assert_eq!(
-            CapacitatedSolver::parse("cap:approx").unwrap().name(),
-            "capacitated",
-            "cap:approx collapses to the canonical name"
-        );
-        assert!(CapacitatedSolver::parse("approx").is_none());
-        assert!(CapacitatedSolver::parse("cap:cap:approx").is_none());
     }
 }

@@ -5,10 +5,11 @@
 //! fast path (`FlSolverKind::LocalSearch`, the default) changes *nothing*
 //! about the answer — identical placements and costs through the registry,
 //! for every worker-thread cap and object order, with and without
-//! per-node capacities. The warm starts (`LocalSearchWarm`, and per-object
-//! seeds via `SolveRequest::warm_placement`) are different trajectories,
-//! so they are pinned the weaker way: valid placements, parallel ==
-//! sequential, and FL move counters visible in the report.
+//! per-node capacities, from a cold start and from per-object seeds
+//! (`SolveRequest::warm_placement`, which both loops start from). The
+//! Mettu–Plaxton warm start (`LocalSearchWarm`) has no reference
+//! counterpart, so it is pinned the weaker way: valid placements,
+//! parallel == sequential, and FL move counters visible in the report.
 
 use dmn_approx::FlSolverKind;
 use dmn_solve::{solvers, SolveRequest};
@@ -103,12 +104,14 @@ fn parallel_capacitated_equivalence_for_every_order_and_start() {
                 base_req = base_req.capacities(cap.clone());
             }
             // The one-thread reference for this start: the seed local
-            // search for the cold start, the (deterministic) incremental
-            // search from the same seeds for the warm ones.
-            let ref_req = if *warm == "cold" {
-                base_req.clone().fl_solver(FlSolverKind::LocalSearchRef)
-            } else {
+            // search for the cold start and from the per-object seeds,
+            // the (deterministic) incremental search from the same
+            // Mettu–Plaxton start for the third, which the reference has
+            // no counterpart of.
+            let ref_req = if *warm == "mettu-plaxton" {
                 base_req.clone()
+            } else {
+                base_req.clone().fl_solver(FlSolverKind::LocalSearchRef)
             };
             let reference = approx.solve(&instance, &ref_req.max_threads(Some(1)));
             for threads in [Some(1), Some(2), Some(3), None] {
