@@ -5,9 +5,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dmn_graph::dijkstra::{apsp, shortest_paths};
 use dmn_graph::flow::{min_cost_circulation, ArcSpec};
-use dmn_graph::generators;
+use dmn_graph::generators::{self, TransitStubParams};
 use dmn_graph::mst::{kruskal, metric_mst_weight};
 use dmn_graph::steiner::{dreyfus_wagner, steiner_2approx_weight};
+use dmn_graph::truncated_closure;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -21,6 +22,27 @@ fn bench_shortest_paths(c: &mut Criterion) {
     }
     let g = generators::random_geometric(256, 0.15, 10.0, &mut ChaCha8Rng::seed_from_u64(1));
     group.bench_function("apsp_256", |b| b.iter(|| apsp(&g)));
+    // The distance-only searches gain most where many keys tie: a unit
+    // grid, as in the sparse solve's closure rows, against a real-weighted
+    // transit-stub graph whose keys rarely tie.
+    let grid = generators::grid(100, 100, |_, _| 1.0);
+    let spread: Vec<usize> = (0..5)
+        .flat_map(|r| (0..8).map(move |c| (10 + 20 * r) * 100 + 6 + 12 * c))
+        .collect();
+    group.bench_function("truncated_closure_grid_10k_40_targets", |b| {
+        b.iter(|| truncated_closure(&grid, &spread))
+    });
+    let params = TransitStubParams {
+        transits: 8,
+        stubs_per_transit: 4,
+        nodes_per_stub: 12,
+        transit_edge_cost: 20.3,
+        uplink_cost: 7.77,
+        stub_edge_cost: 0.91,
+        stub_extra_edge_p: 0.3,
+    };
+    let ts = generators::transit_stub(params, &mut ChaCha8Rng::seed_from_u64(4));
+    group.bench_function("apsp_transit_stub_392", |b| b.iter(|| apsp(&ts)));
     group.finish();
 }
 

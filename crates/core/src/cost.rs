@@ -196,7 +196,7 @@ pub fn evaluate_object_on_graph(
     );
     let rows: Vec<Vec<f64>> = copies
         .iter()
-        .map(|&c| dmn_graph::shortest_paths(graph, c).dist)
+        .map(|&c| dmn_graph::distances(graph, c))
         .collect();
     let mut out = CostBreakdown::default();
     for &c in copies {

@@ -2,12 +2,25 @@
 //!
 //! Shortest-path distances under `ct` are exactly the paper's metric
 //! `ct(v, v')`; [`apsp`] materializes the full [`Metric`] closure.
+//!
+//! Two queues serve the searches:
+//!
+//! * [`distances`], [`apsp`] and the rows of a
+//!   [`TruncatedClosure`](crate::TruncatedClosure) return only labels and
+//!   run on a monotone radix heap. Every queue that pops keys in
+//!   non-decreasing order yields the same labels, bit for bit: a label is
+//!   the minimum over its neighbours of `fl(L(u) + w)`, and `fl(. + w)` is
+//!   monotone, so the order among equal keys cannot change it.
+//! * [`shortest_paths`] keeps a binary heap ordered by `(distance, node)`.
+//!   Its `parent` is set on the first strict improvement, so it depends on
+//!   the order among equal keys, and callers walk those parents.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::graph::{Graph, NodeId};
 use crate::metric::Metric;
+use crate::radix_heap::RadixHeap;
 
 /// Result of a single-source shortest-path computation.
 #[derive(Debug, Clone)]
@@ -40,7 +53,9 @@ impl ShortestPaths {
     }
 }
 
-/// Min-heap entry of the Dijkstra searches in this crate.
+/// Min-heap entry of the searches whose output depends on the order among
+/// equal keys: [`shortest_paths`] and
+/// [`ball_candidates`](crate::ball_candidates).
 #[derive(Debug, PartialEq)]
 pub(crate) struct HeapItem {
     pub(crate) dist: f64,
@@ -101,9 +116,52 @@ pub fn shortest_paths(g: &Graph, source: NodeId) -> ShortestPaths {
     }
 }
 
+/// Distance-only Dijkstra from `source` on a radix heap: the kernel of
+/// [`distances`], [`apsp`] and the closure rows.
+///
+/// `dist` must hold +inf everywhere. The search calls `stop(v)` when `v`
+/// settles, before relaxing its arcs, and returns as soon as it answers
+/// true; the label of every node settled by then is final.
+pub(crate) fn dijkstra_into(
+    g: &Graph,
+    source: NodeId,
+    dist: &mut [f64],
+    heap: &mut RadixHeap,
+    mut stop: impl FnMut(NodeId) -> bool,
+) {
+    heap.clear();
+    dist[source] = 0.0;
+    heap.push(0.0, source);
+    while let Some((d, v)) = heap.pop() {
+        if d > dist[v] {
+            continue; // stale entry
+        }
+        if stop(v) {
+            return;
+        }
+        for a in g.neighbors(v) {
+            let nd = d + a.w;
+            if nd < dist[a.to] {
+                dist[a.to] = nd;
+                heap.push(nd, a.to);
+            }
+        }
+    }
+}
+
+/// Cheapest path costs from `source` to every node (`f64::INFINITY` when
+/// unreachable): `shortest_paths(g, source).dist`, bit for bit, without the
+/// parents.
+pub fn distances(g: &Graph, source: NodeId) -> Vec<f64> {
+    let mut dist = vec![f64::INFINITY; g.num_nodes()];
+    dijkstra_into(g, source, &mut dist, &mut RadixHeap::new(), |_| false);
+    dist
+}
+
 /// All-pairs shortest paths: the paper's metric closure of the network.
 ///
-/// Runs one Dijkstra per node, `O(n (n + m) log n)` total. The graph must be
+/// Runs one Dijkstra per node, `O(n (n + m) log n)` total, each writing its
+/// row in place; row `v` is [`distances`]`(g, v)`. The graph must be
 /// connected — the metric of a disconnected graph would contain infinite
 /// distances, which the placement model cannot serve.
 ///
@@ -111,14 +169,15 @@ pub fn shortest_paths(g: &Graph, source: NodeId) -> ShortestPaths {
 /// Panics when the graph is disconnected.
 pub fn apsp(g: &Graph) -> Metric {
     let n = g.num_nodes();
-    let mut d = vec![0.0; n * n];
+    let mut d = vec![f64::INFINITY; n * n];
+    let mut heap = RadixHeap::new();
     for v in 0..n {
-        let sp = shortest_paths(g, v);
+        let row = &mut d[v * n..(v + 1) * n];
+        dijkstra_into(g, v, row, &mut heap, |_| false);
         assert!(
-            sp.dist.iter().all(|x| x.is_finite()),
+            row.iter().all(|x| x.is_finite()),
             "apsp requires a connected graph"
         );
-        d[v * n..(v + 1) * n].copy_from_slice(&sp.dist);
     }
     Metric::from_matrix(n, d)
 }

@@ -23,6 +23,14 @@
 //! All costs are `f64` and required to be finite and non-negative. The one
 //! NaN the crate constructs marks a row of a [`TruncatedClosure`] that was
 //! never built, so that no reader can take it for a distance.
+//!
+//! The searches that return only distances — [`distances`], [`apsp`] and
+//! the rows of a [`TruncatedClosure`] — share one Dijkstra kernel on a
+//! monotone radix heap over the `f64` bit pattern. With non-negative
+//! weights every queue that pops keys in non-decreasing order yields the
+//! same labels, bit for bit. [`shortest_paths`], [`ball_candidates`] and the
+//! min-cost-flow search keep binary heaps: their parents, ball boundary and
+//! predecessor arcs depend on the order among equal keys.
 
 // Node ids are dense indices throughout this workspace; looping over
 // `0..n` and indexing by node id is the domain idiom.
@@ -36,11 +44,12 @@ pub mod generators;
 pub mod graph;
 pub mod metric;
 pub mod mst;
+mod radix_heap;
 pub mod sparse;
 pub mod steiner;
 pub mod tree;
 
-pub use dijkstra::{apsp, shortest_paths, ShortestPaths};
+pub use dijkstra::{apsp, distances, shortest_paths, ShortestPaths};
 pub use dsu::DisjointSets;
 pub use graph::{EdgeId, Graph, NodeId};
 pub use metric::Metric;

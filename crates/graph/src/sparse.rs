@@ -13,12 +13,19 @@
 //!   only when a caller requests it. [`truncated_closure`] requests every
 //!   row. Each row is bit-identical to the matching entries of
 //!   `apsp(g)`, because every row *is* a Dijkstra run from that target.
+//!
+//! A closure row needs only labels, so it runs the crate's distance-only
+//! kernel on a radix heap (see [`dijkstra`](crate::dijkstra)); the early
+//! stop reads a target only after it pops. [`ball_candidates`] keeps the
+//! binary heap: it returns the first pops, so the order among equal keys
+//! decides which nodes sit on the ball's boundary.
 
 use std::collections::BinaryHeap;
 
-use crate::dijkstra::HeapItem;
+use crate::dijkstra::{dijkstra_into, HeapItem};
 use crate::graph::{Graph, NodeId};
 use crate::metric::Metric;
+use crate::radix_heap::RadixHeap;
 
 /// The metric closure restricted to `targets`, with rows built on request.
 ///
@@ -42,7 +49,7 @@ pub struct TruncatedClosure<'a> {
     built: Vec<bool>,
     /// Dijkstra labels over the whole graph.
     dist: Vec<f64>,
-    heap: BinaryHeap<HeapItem>,
+    heap: RadixHeap,
 }
 
 impl<'a> TruncatedClosure<'a> {
@@ -65,7 +72,7 @@ impl<'a> TruncatedClosure<'a> {
             metric: Metric::from_matrix(k, vec![f64::NAN; k * k]),
             built: vec![false; k],
             dist: vec![f64::INFINITY; n],
-            heap: BinaryHeap::with_capacity(k.max(64)),
+            heap: RadixHeap::new(),
         }
     }
 
@@ -77,38 +84,18 @@ impl<'a> TruncatedClosure<'a> {
         if self.built[i] {
             return;
         }
-        let (g, targets, pos) = (self.graph, self.targets, &self.pos);
-        let (dist, heap) = (&mut self.dist, &mut self.heap);
+        let (targets, pos, dist) = (self.targets, &self.pos, &mut self.dist);
         let k = targets.len();
         // Reset only what the previous run touched is more bookkeeping than
         // it is worth; a fill is O(n) against an O(ball log ball) search.
         dist.fill(f64::INFINITY);
-        heap.clear();
-        let s = targets[i];
-        dist[s] = 0.0;
-        heap.push(HeapItem { dist: 0.0, node: s });
         let mut settled = 0usize;
-        while let Some(HeapItem { dist: dv, node: v }) = heap.pop() {
-            if dv > dist[v] {
-                continue; // stale entry
-            }
+        dijkstra_into(self.graph, targets[i], dist, &mut self.heap, |v| {
             if pos[v] != usize::MAX {
                 settled += 1;
-                if settled == k {
-                    break; // every target's distance is final
-                }
             }
-            for a in g.neighbors(v) {
-                let nd = dv + a.w;
-                if nd < dist[a.to] {
-                    dist[a.to] = nd;
-                    heap.push(HeapItem {
-                        dist: nd,
-                        node: a.to,
-                    });
-                }
-            }
-        }
+            settled == k // every target's distance is final
+        });
         for (slot, &t) in self.metric.row_mut(i).iter_mut().zip(targets) {
             assert!(
                 dist[t].is_finite(),
@@ -165,9 +152,9 @@ pub fn truncated_closure(g: &Graph, targets: &[NodeId]) -> Metric {
 ///
 /// This is the per-object facility candidate set of the sparse solve path:
 /// clients plus the ball around them where a copy could plausibly pay off.
+/// A seed listed more than once counts once.
 pub fn ball_candidates(g: &Graph, seeds: &[NodeId], target_size: usize) -> Vec<NodeId> {
     let n = g.num_nodes();
-    let want = target_size.clamp(seeds.len(), n);
     let mut dist = vec![f64::INFINITY; n];
     let mut heap = BinaryHeap::with_capacity(seeds.len().max(64));
     for &s in seeds {
@@ -176,6 +163,7 @@ pub fn ball_candidates(g: &Graph, seeds: &[NodeId], target_size: usize) -> Vec<N
             heap.push(HeapItem { dist: 0.0, node: s });
         }
     }
+    let want = target_size.clamp(heap.len(), n);
     let mut out = Vec::with_capacity(want);
     while let Some(HeapItem { dist: dv, node: v }) = heap.pop() {
         if dv > dist[v] {
@@ -282,5 +270,17 @@ mod tests {
         // Asking for at least the whole graph returns every node.
         let all = ball_candidates(&g, &seeds, 100);
         assert_eq!(all.len(), 36);
+    }
+
+    #[test]
+    fn ball_candidates_count_a_repeated_seed_once() {
+        assert_eq!(
+            ball_candidates(&generators::path(10, |_| 1.0), &[0, 0], 1),
+            [0]
+        );
+        assert_eq!(
+            ball_candidates(&generators::path(2, |_| 1.0), &[0, 0, 0], 1),
+            [0]
+        );
     }
 }

@@ -3,12 +3,13 @@
 //! sweep (the offline build vendors its own RNG instead of proptest).
 
 use dmn_graph::bfs::{hop_diameter, tree_hop_diameter};
-use dmn_graph::dijkstra::{apsp, shortest_paths};
-use dmn_graph::generators;
+use dmn_graph::dijkstra::{apsp, distances, shortest_paths};
+use dmn_graph::generators::{self, TransitStubParams};
 use dmn_graph::mst::{kruskal, prim};
 use dmn_graph::steiner::{dreyfus_wagner, steiner_2approx_weight};
 use dmn_graph::tree::{binarize, RootedTree};
-use dmn_graph::DisjointSets;
+use dmn_graph::{DisjointSets, Graph, NodeId, TruncatedClosure};
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -90,6 +91,100 @@ fn dijkstra_relaxation_fixpoint() {
         for e in g.edges() {
             assert!(sp.dist[e.v] <= sp.dist[e.u] + e.w + 1e-9, "seed {seed}");
             assert!(sp.dist[e.u] <= sp.dist[e.v] + e.w + 1e-9, "seed {seed}");
+        }
+    }
+}
+
+/// The graphs the distance-only kernel is pinned on: real weights without
+/// ties, unit weights with many, zero-weight edges (a neighbour popped at
+/// a node's own key), sums of 0.1/0.2/0.3 that tie up to an ulp, and a path
+/// whose weights span 2^-40..2^40, so some sums absorb a weight.
+fn kernel_graphs() -> Vec<(&'static str, Graph)> {
+    let mut r = ChaCha8Rng::seed_from_u64(8000);
+    let transit_stub = TransitStubParams {
+        transits: 5,
+        stubs_per_transit: 3,
+        nodes_per_stub: 9,
+        transit_edge_cost: 20.3,
+        uplink_cost: 7.77,
+        stub_edge_cost: 0.91,
+        stub_extra_edge_p: 0.3,
+    };
+    vec![
+        (
+            "gnp",
+            generators::gnp_connected(120, 0.05, (0.1, 9.7), &mut r),
+        ),
+        (
+            "geometric",
+            generators::random_geometric(150, 0.15, 10.0, &mut r),
+        ),
+        (
+            "transit-stub",
+            generators::transit_stub(transit_stub, &mut r),
+        ),
+        ("unit grid", generators::grid(15, 15, |_, _| 1.0)),
+        (
+            "zero-weight grid",
+            generators::grid(14, 14, |u, v| match (u * 7 + v) % 5 {
+                0 => 0.0,
+                i => i as f64 * 0.1,
+            }),
+        ),
+        (
+            "zero-weight 3-ary tree",
+            generators::kary_tree(200, 3, |i| {
+                if i % 3 == 0 {
+                    0.0
+                } else {
+                    (i % 5) as f64 * 0.7
+                }
+            }),
+        ),
+        (
+            "2^±40 path",
+            generators::path(60, |i| 2f64.powi((i as i32 * 37) % 81 - 40)),
+        ),
+    ]
+}
+
+fn bits(row: &[f64]) -> Vec<u64> {
+    row.iter().map(|d| d.to_bits()).collect()
+}
+
+/// `distances`, every `apsp` row and every `TruncatedClosure` row run on a
+/// radix heap; they equal the binary-heap `shortest_paths` bit for bit. The
+/// closure rows are taken over random target subsets, requested in shuffled
+/// order, each search stopped once its targets have settled.
+#[test]
+fn distance_kernel_matches_shortest_paths_bitwise() {
+    for (name, g) in kernel_graphs() {
+        let n = g.num_nodes();
+        let exact: Vec<Vec<u64>> = (0..n).map(|s| bits(&shortest_paths(&g, s).dist)).collect();
+        let dense = apsp(&g);
+        for (s, want) in exact.iter().enumerate() {
+            assert_eq!(&bits(&distances(&g, s)), want, "{name}: distances from {s}");
+            assert_eq!(&bits(dense.row(s)), want, "{name}: apsp row {s}");
+        }
+        let mut r = ChaCha8Rng::seed_from_u64(n as u64);
+        for trial in 0..CASES {
+            let mut targets: Vec<NodeId> = (0..n).collect();
+            targets.shuffle(&mut r);
+            targets.truncate(r.random_range(1..=n.min(24)));
+            let mut closure = TruncatedClosure::new(&g, &targets);
+            let mut order: Vec<usize> = (0..targets.len()).collect();
+            order.shuffle(&mut r);
+            order.truncate(r.random_range(1..=order.len()));
+            for &i in &order {
+                closure.build_row(i);
+                let want: Vec<u64> = targets.iter().map(|&t| exact[targets[i]][t]).collect();
+                assert_eq!(
+                    bits(closure.metric().row(i)),
+                    want,
+                    "{name}, trial {trial}: row of {} over {targets:?}",
+                    targets[i]
+                );
+            }
         }
     }
 }
