@@ -20,14 +20,15 @@
 //! experiment runs capacitated end-to-end, `--cap-engine INNER` is
 //! shorthand for the native `cap:INNER` engine) and its `SolveReport`s
 //! (placements, cost breakdowns, per-phase timings) are printed.
-//! `perf-smoke` is the CI gate: on a pinned scenario it compares a
-//! one-thread `approx` solve against an all-threads solve of the objects
-//! in reverse order, the incremental phase-1 local search against
-//! the seed implementation, *and* the native capacitated engine against
-//! the greedy repair, writes the timing/cost/counter artifact, and exits
-//! non-zero when any placement deviates, the capacitated engine loses to
-//! the repair (or, in release builds, when the phase-1 speedup drops
-//! below the pinned floor).
+//! `perf-smoke` is the CI timing runner: on a pinned scenario it times
+//! the incremental phase-1 local search against the seed implementation,
+//! the server's drift-trace replay with telemetry disarmed and armed, and
+//! (release builds) the 10k-node sparse solve, writes the timing/cost/
+//! counter artifact, and exits non-zero when the two local searches place
+//! differently (`fast_matches_seed`), a post-swap server cost deviates from
+//! a from-scratch solve (`server_ok`), the replay samples no latencies
+//! (`obs_ok`), or — release builds only — a timing leaves its pinned
+//! envelope.
 
 use dmn_approx::FlSolverKind;
 use dmn_solve::{solvers, MetricBackend, SolveRequest};
@@ -47,11 +48,13 @@ fn usage() -> ! {
          engines go through the greedy repair); --cap-engine INNER runs the native\n\
          capacitated engine over INNER (shorthand for --solver cap:INNER);\n\
          --metric sparse solves over per-object truncated closures instead of the\n\
-         dense O(n^2) APSP table (the 10k-node path); timeline exits 1 unless the\n\
-         warm chain adds fewer copies and phase-1 moves than cold within the pinned\n\
-         cost premium. Only engines that consume warm seeds (approx and the engines\n\
-         built on it) can pass; others solve both chains alike and read false, and so\n\
-         do local-search-ref chains, whose reference loop reports 0 phase-1 moves."
+         dense O(n^2) APSP table (the 10k-node path); perf-smoke times the phase-1\n\
+         and server pairs and exits 1 when a pair's check or, in release, a timing\n\
+         floor fails; timeline exits 1 unless the warm chain adds fewer copies and\n\
+         phase-1 moves than cold within the pinned cost premium. Only engines that\n\
+         consume warm seeds (approx and the engines built on it) can pass; others\n\
+         solve both chains alike and read false, and so do local-search-ref chains,\n\
+         whose reference loop reports 0 phase-1 moves."
     );
     std::process::exit(2);
 }
@@ -92,15 +95,18 @@ fn main() {
     }
 }
 
-/// The CI perf gate: writes `BENCH_ci.json` and fails on a placement
-/// mismatch (parallel reversed-order vs sequential, or incremental vs seed
-/// local search), a server replay whose post-swap costs
-/// deviate from from-scratch solves, a failed chaos replay, or a
-/// sparse-backend cost ratio above the control ceiling — and, in release
-/// builds, on a phase-1 speedup, server lookup throughput, re-solve
-/// latency, or 10k-node sparse solve wall clock outside the pinned
-/// envelope.
+/// The CI timing runner: writes `BENCH_ci.json` and fails when the
+/// incremental local search places differently from the seed
+/// implementation, the server replay's post-swap costs deviate from
+/// from-scratch solves, or the replay samples no lookup latencies — and,
+/// in release builds, on a phase-1 speedup, armed/disarmed throughput
+/// ratio, server lookup throughput, re-solve latency, or 10k-node sparse
+/// solve wall clock outside the pinned envelope.
 fn run_perf_smoke(args: &[String]) {
+    use dmn_bench::perf_smoke::{
+        MAX_SCALE_WALL_SECONDS, MAX_SERVER_RESOLVE_SECONDS, MIN_OBS_THROUGHPUT_RATIO,
+        MIN_PHASE1_SPEEDUP, MIN_SERVER_LOOKUPS_PER_SEC,
+    };
     let mut out = "BENCH_ci.json".to_string();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -124,31 +130,9 @@ fn run_perf_smoke(args: &[String]) {
             std::process::exit(1);
         }
     };
-    if !outcome.costs_match {
-        eprintln!(
-            "perf-smoke: the all-threads reversed-order approx solve DIFFERS from the \
-             one-thread sequential solve (see {out})"
-        );
-        std::process::exit(1);
-    }
     if !outcome.fast_matches_seed {
         eprintln!(
             "perf-smoke: incremental local search DIFFERS from the seed implementation (see {out})"
-        );
-        std::process::exit(1);
-    }
-    if !outcome.capacitated_ok {
-        eprintln!(
-            "perf-smoke: capacitated engine is infeasible or COSTS MORE than the greedy \
-             repair (see {out})"
-        );
-        std::process::exit(1);
-    }
-    if !outcome.dynamic_ok {
-        eprintln!(
-            "perf-smoke: an online strategy BEAT the informed static oracle on a \
-             stationary stream (see {out}):\n{}",
-            outcome.dynamic
         );
         std::process::exit(1);
     }
@@ -162,67 +146,36 @@ fn run_perf_smoke(args: &[String]) {
     if !outcome.obs_ok {
         eprintln!(
             "perf-smoke: telemetry gate FAILED — armed/disarmed throughput ratio {:.3} \
-             (floor {:.2} in release), {} latency samples, lookup p99 {:.3e}s (see {out})",
+             (floor {MIN_OBS_THROUGHPUT_RATIO:.2} in release), {} latency samples, lookup \
+             p99 {:.3e}s (see {out})",
             outcome.telemetry.overhead_ratio,
-            dmn_bench::perf_smoke::MIN_OBS_THROUGHPUT_RATIO,
             outcome.server.latency_samples,
             outcome.server.lookup_p99
         );
         std::process::exit(1);
     }
-    if !outcome.chaos_ok {
-        eprintln!(
-            "perf-smoke: chaos replay FAILED — an injected fault class never fired, was \
-             not absorbed, or left the server degraded or inconsistent (see {out})"
-        );
-        std::process::exit(1);
-    }
-    if !outcome.timeline_ok {
-        eprintln!(
-            "perf-smoke: timeline gate FAILED — on the pinned time-sliced scenario the \
-             warm-start chain added no fewer copies or phase-1 moves than the cold per-slot \
-             re-solve, or its cost premium {:+.2}% exceeds the ceiling (see {out})",
-            100.0 * outcome.timeline.premium()
-        );
-        std::process::exit(1);
-    }
-    if !outcome.sparse_within_eps {
-        eprintln!(
-            "perf-smoke: sparse metric backend costs {:.4}x the dense solve on the \
-             control scenario, above the {:.2} ceiling (see {out})",
-            outcome.sparse_cost_ratio,
-            dmn_bench::perf_smoke::MAX_SPARSE_COST_RATIO
-        );
-        std::process::exit(1);
-    }
     // Timing gates only where timings mean something (release, as in CI) —
     // checked before the success line so a failing job never logs one.
-    if !cfg!(debug_assertions) && outcome.phase1_speedup < dmn_bench::perf_smoke::MIN_PHASE1_SPEEDUP
-    {
+    if !cfg!(debug_assertions) && outcome.phase1_speedup < MIN_PHASE1_SPEEDUP {
         eprintln!(
-            "perf-smoke: phase-1 speedup {:.1}x is below the {:.0}x floor",
-            outcome.phase1_speedup,
-            dmn_bench::perf_smoke::MIN_PHASE1_SPEEDUP
+            "perf-smoke: phase-1 speedup {:.1}x is below the {MIN_PHASE1_SPEEDUP:.0}x floor",
+            outcome.phase1_speedup
         );
         std::process::exit(1);
     }
-    if !cfg!(debug_assertions)
-        && outcome.server.lookups_per_sec < dmn_bench::perf_smoke::MIN_SERVER_LOOKUPS_PER_SEC
-    {
+    if !cfg!(debug_assertions) && outcome.server.lookups_per_sec < MIN_SERVER_LOOKUPS_PER_SEC {
         eprintln!(
-            "perf-smoke: server sustained {:.0} lookups/s, below the {:.0} floor",
-            outcome.server.lookups_per_sec,
-            dmn_bench::perf_smoke::MIN_SERVER_LOOKUPS_PER_SEC
+            "perf-smoke: server sustained {:.0} lookups/s, below the \
+             {MIN_SERVER_LOOKUPS_PER_SEC:.0} floor",
+            outcome.server.lookups_per_sec
         );
         std::process::exit(1);
     }
-    if !cfg!(debug_assertions)
-        && outcome.server.max_resolve_seconds > dmn_bench::perf_smoke::MAX_SERVER_RESOLVE_SECONDS
-    {
+    if !cfg!(debug_assertions) && outcome.server.max_resolve_seconds > MAX_SERVER_RESOLVE_SECONDS {
         eprintln!(
-            "perf-smoke: worst server re-solve took {:.2}s, above the {:.1}s ceiling",
-            outcome.server.max_resolve_seconds,
-            dmn_bench::perf_smoke::MAX_SERVER_RESOLVE_SECONDS
+            "perf-smoke: worst server re-solve took {:.2}s, above the \
+             {MAX_SERVER_RESOLVE_SECONDS:.1}s ceiling",
+            outcome.server.max_resolve_seconds
         );
         std::process::exit(1);
     }
@@ -236,43 +189,34 @@ fn run_perf_smoke(args: &[String]) {
             }
             Some(scale) if !scale.within_budget => {
                 eprintln!(
-                    "perf-smoke: the {}-node sparse solve took {:.1}s, above the {:.0}s \
-                     ceiling (see {out})",
-                    scale.nodes,
-                    scale.wall_seconds,
-                    dmn_bench::perf_smoke::MAX_SCALE_WALL_SECONDS
+                    "perf-smoke: the {}-node sparse solve took {:.1}s, above the \
+                     {MAX_SCALE_WALL_SECONDS:.0}s ceiling (see {out})",
+                    scale.nodes, scale.wall_seconds
                 );
                 std::process::exit(1);
             }
             Some(scale) => println!(
                 "perf-smoke: {}-node sparse solve in {:.1}s ({:.0} closure rows built for \
-                 {:.0} ball nodes, metric build {:.2}s); control cost ratio {:.4}",
+                 {:.0} ball nodes, metric build {:.2}s)",
                 scale.nodes,
                 scale.wall_seconds,
                 scale.rows_built,
                 scale.candidate_rows,
-                scale.metric_build_seconds,
-                outcome.sparse_cost_ratio
+                scale.metric_build_seconds
             ),
         }
     }
     println!(
-        "perf-smoke: placements match (parallel reversed-order == sequential, \
-         incremental == seed); capacitated feasible and <= greedy repair; every \
-         online strategy >= the static oracle on the stationary stream; server \
-         sustained {:.0} lookups/s with post-swap costs equal to from-scratch; \
-         telemetry overhead ratio {:.3} (lookup p50 {:.2e}s, p99 {:.2e}s); \
-         sparse/dense control cost ratio {:.4}; warm timeline chain buys fewer copies \
-         and phase-1 moves than cold over {} slots at a {:+.2}% premium; phase-1 speedup \
-         {:.1}x; artifact at {out}",
+        "perf-smoke: incremental == seed local search, phase-1 speedup {:.1}x; server \
+         sustained {:.0} lookups/s with post-swap costs equal to from-scratch, worst \
+         re-solve {:.2}s; telemetry overhead ratio {:.3} (lookup p50 {:.2e}s, p99 \
+         {:.2e}s); artifact at {out}",
+        outcome.phase1_speedup,
         outcome.server.lookups_per_sec,
+        outcome.server.max_resolve_seconds,
         outcome.telemetry.overhead_ratio,
         outcome.server.lookup_p50,
-        outcome.server.lookup_p99,
-        outcome.sparse_cost_ratio,
-        outcome.timeline.slots.len(),
-        100.0 * outcome.timeline.premium(),
-        outcome.phase1_speedup
+        outcome.server.lookup_p99
     );
 }
 
@@ -408,10 +352,11 @@ fn run_fuzz(args: &[String]) {
     );
 }
 
-/// The standalone chaos gate: runs the seeded fault schedule against the
-/// pinned smoke scenario, writes the `chaos` artifact, and exits non-zero
-/// unless every injected fault class fired, was absorbed, and the healed
-/// server's placements match from-scratch solves.
+/// The chaos gate (`chaos_ok`, CI's chaos job): runs the seeded fault
+/// schedule against the pinned smoke scenario, writes the `chaos`
+/// artifact, and exits non-zero unless every injected fault class fired,
+/// was absorbed, and the healed server's placements match from-scratch
+/// solves.
 fn run_chaos(args: &[String]) {
     let mut out = "CHAOS_ci.json".to_string();
     let mut it = args.iter();

@@ -7,7 +7,7 @@
 //! ```
 //!
 //! Prints the human summary and optionally writes the JSON section the
-//! perf-smoke artifact embeds under `server`.
+//! perf-smoke artifact (`BENCH_ci.json`) carries under `server`.
 
 use dmn_bench::{perf_smoke, server_bench};
 use dmn_workloads::Scenario;

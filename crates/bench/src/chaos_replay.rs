@@ -20,8 +20,9 @@
 //! clean replay), recovery must complete within a bounded wall-clock
 //! budget, and — once the schedule is drained — every settled snapshot
 //! must cost exactly what a from-scratch solve of the drifted instance
-//! costs. The perf-smoke harness runs this on the pinned scenario and
-//! gates CI on [`ChaosOutcome::gate`] (`chaos_ok`).
+//! costs. `experiments chaos` runs this on the pinned smoke scenario and
+//! CI's chaos job fails on [`ChaosOutcome::gate`] (`chaos_ok`); the unit
+//! tests below drive the gate both ways on a small scenario.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};

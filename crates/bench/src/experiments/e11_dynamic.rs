@@ -8,8 +8,9 @@
 //! and adversarial streams, with per-phase ratio tracking:
 //!
 //! * on **stationary** streams the static oracle should win — knowing the
-//!   frequencies is exactly the static problem this paper solves (this is
-//!   the `dynamic_ok` CI gate on the perf-smoke scenario);
+//!   frequencies is exactly the static problem this paper solves (the
+//!   root package's `tests/gates.rs` holds the `dynamic_ok` gate to this
+//!   on the pinned 225-node smoke scenario);
 //! * on **phase-shifting** streams adaptive strategies catch up or win,
 //!   since any fixed placement goes stale (visible per phase);
 //! * on **adversarial** streams replication investments are destroyed as

@@ -6,15 +6,15 @@
 //! plus a candidate ball around them) and never materializes the table.
 //! On hotspot workloads the balls truncate, so the sparse result may
 //! differ: this experiment measures the total-cost ratio on truncating
-//! instances across topologies (pinned to the perf-smoke ceiling
-//! [`crate::perf_smoke::MAX_SPARSE_COST_RATIO`]) and confirms the
+//! instances across topologies (pinned to the fuzz oracle's ceiling
+//! [`crate::fuzz::MAX_SPARSE_RATIO`]) and confirms the
 //! full-coverage case — every node a client — reproduces the dense
 //! placements exactly, per the bit-identical truncated-closure guarantee.
 
 use dmn_solve::{solvers, MetricBackend, SolveRequest};
 use dmn_workloads::{Scenario, TopologyKind, WorkloadParams};
 
-use crate::perf_smoke::MAX_SPARSE_COST_RATIO;
+use crate::fuzz::MAX_SPARSE_RATIO;
 use crate::report::{Report, Table};
 
 /// Truncating rows: hotspot workloads (20% active nodes, locality decay)
@@ -104,9 +104,9 @@ pub fn run() -> Report {
         let ratio = sparse.cost.total() / dense.cost.total();
         worst_ratio = worst_ratio.max(ratio);
         assert!(
-            ratio <= MAX_SPARSE_COST_RATIO,
+            ratio <= MAX_SPARSE_RATIO,
             "{label}: sparse/dense cost ratio {ratio:.4} breaches the pinned \
-             {MAX_SPARSE_COST_RATIO:.2} epsilon"
+             {MAX_SPARSE_RATIO:.2} epsilon"
         );
         table.row(vec![
             label.to_string(),
@@ -159,7 +159,7 @@ pub fn run() -> Report {
 
     report.finding(format!(
         "truncated candidate balls keep the sparse backend within {worst_ratio:.4}x of the \
-         dense solve on hotspot workloads (pinned ceiling {MAX_SPARSE_COST_RATIO:.2}) while \
+         dense solve on hotspot workloads (pinned ceiling {MAX_SPARSE_RATIO:.2}) while \
          replacing the O(n^2) closure with per-object truncated rows; full-coverage \
          workloads reproduce the dense placements bit for bit"
     ));

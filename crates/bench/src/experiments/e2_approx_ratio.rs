@@ -10,6 +10,7 @@
 
 use dmn_approx::{place_object, ApproxConfig};
 use dmn_core::cost::{evaluate_object, UpdatePolicy};
+use dmn_core::parallel::par_map;
 use dmn_exact::optimal_placement;
 
 use super::{max, mean, rng, small_instance};
@@ -36,8 +37,10 @@ pub fn run() -> Report {
     let mut worst: f64 = 0.0;
     for &write_share in &[0.0, 0.3, 0.7] {
         for &cs_scale in &[0.5, 2.0, 8.0] {
-            // Seeds are independent: sweep them on the parallel runner.
-            let ratios = crate::runner::par_sweep(&crate::runner::seed_range(0, 40), |seed| {
+            // Seeds are independent: sweep them on the order-preserving
+            // parallel map.
+            let seeds: Vec<u64> = (0..40).collect();
+            let ratios = par_map(&seeds, |&seed| {
                 let mut r = rng(2_000 + seed);
                 let n = 6 + (seed % 5) as usize;
                 let (metric, cs, w) = small_instance(n, cs_scale, write_share, &mut r);

@@ -19,9 +19,7 @@ pub mod experiments;
 pub mod fuzz;
 pub mod perf_smoke;
 pub mod report;
-pub mod runner;
 pub mod server_bench;
 pub mod timeline;
 
 pub use report::{Report, Table};
-pub use runner::{par_sweep, seed_range};

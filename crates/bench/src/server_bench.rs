@@ -15,8 +15,9 @@
 //!   server's incremental event bookkeeping is correct iff the costs
 //!   agree to fp equality ([`ReplayOutcome::cost_matches_scratch`]).
 //!
-//! The perf-smoke harness runs this on the pinned scenario and gates CI
-//! on the outcome (`server_ok`).
+//! The perf-smoke timing runner replays the pinned scenario through
+//! [`replay_ab`] and fails CI on `server_ok`, `obs_ok` and the release
+//! lookup-throughput and re-solve-latency bounds.
 
 use std::time::Instant;
 

@@ -37,11 +37,11 @@ use dmn_workloads::{
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-/// The pinned timeline scenario: the perf-smoke `timeline_ok` gate and
-/// the `experiments timeline` default both solve this, and the committed
-/// `scenarios/grid_timeline.json` mirrors it (a pin test keeps them in
-/// sync). Diurnal demand, a slow storage-price wave, one churn event per
-/// slot, and a quarter of the objects parked.
+/// The pinned timeline scenario: the `experiments timeline` default and
+/// the `timeline_ok` unit test both solve this, and the committed
+/// `scenarios/grid_timeline.json` that CI's timeline step runs mirrors it
+/// (a pin test keeps them in sync). Diurnal demand, a slow storage-price
+/// wave, one churn event per slot, and a quarter of the objects parked.
 pub fn pinned_scenario() -> Scenario {
     Scenario {
         name: "grid-timeline".into(),

@@ -275,7 +275,7 @@ pub fn compete(
 }
 
 /// [`compete`] under the standard racing convention shared by the
-/// perf-smoke gate and the `sweep` binary: the object count comes from
+/// `dynamic_ok` gate and the `sweep` binary: the object count comes from
 /// `base`, every object starts from a single copy on node `x % n`, and
 /// the full [`standard_zoo`](crate::strategy::standard_zoo) is raced.
 ///

@@ -3,9 +3,11 @@
 //! The request/stream paths historically `assert!`ed and `.expect()`ed
 //! their preconditions. That is fine when the harness authored the
 //! stream, but a scenario fuzzer feeds these paths degenerate inputs on
-//! purpose — those must come back as values, not process aborts. Every
-//! entry point now has a `try_*` form returning [`DynamicError`]; the
-//! panicking originals remain as shims with unchanged messages.
+//! purpose — those must come back as values, not process aborts. The
+//! stream generators and the slot replay have `try_*` forms returning
+//! [`DynamicError`]; the panicking stream generators remain as shims with
+//! unchanged messages, and `simulate` and `simulate_segmented`, which run
+//! the slot replay's loop, panic with its error's message.
 
 /// Why a simulation or stream generation could not run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -14,9 +16,6 @@ pub enum DynamicError {
     EmptyWorkloads,
     /// The workloads carry no request mass at all — nothing to sample.
     NoRequests,
-    /// `segment_len` (or a slot stream) was zero where a positive length
-    /// is required.
-    ZeroSegment,
     /// An object entered the simulation with an empty copy set.
     EmptyInitialPlacement {
         /// Offending object index.
@@ -61,7 +60,6 @@ impl std::fmt::Display for DynamicError {
                 write!(f, "a stream needs at least one workload")
             }
             DynamicError::NoRequests => write!(f, "workloads have no requests"),
-            DynamicError::ZeroSegment => write!(f, "segment length must be positive"),
             DynamicError::EmptyInitialPlacement { object } => {
                 write!(f, "object {object} starts with no copies")
             }

@@ -46,7 +46,7 @@ pub use error::DynamicError;
 pub use migration::MigrationStrategy;
 pub use replay::{try_replay_slots, ReplaySlot, SlotOutcome};
 pub use report::{CompetitiveReport, StrategyRun};
-pub use sim::{simulate, simulate_segmented, try_simulate, try_simulate_segmented, DynamicCost};
+pub use sim::{simulate, simulate_segmented, DynamicCost};
 pub use strategy::{
     standard_zoo, CountingStrategy, DynamicStrategy, FixedStrategy, MigratoryCountingStrategy,
     RentToBuyStrategy,

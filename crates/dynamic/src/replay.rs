@@ -2,14 +2,15 @@
 //! time slots with per-slot storage costs.
 //!
 //! The timeline runner drives the dynamic zoo over the *same* slot stream
-//! the static engines re-solve on. Unlike [`crate::sim::simulate_segmented`],
-//! slots are first-class here: each slot carries its own storage-cost
+//! the static engines re-solve on. Each slot carries its own storage-cost
 //! vector (the timeline's cost multiplier applied to the base rent) and
 //! its own request stream, rent is pro-rated *within* the slot (a copy
 //! held for a whole slot pays that slot's `cs(v)` once), and the replay
 //! reports per-slot costs plus the copies-moved churn series. Strategy
 //! and copy-set state persist across slot boundaries — the whole point of
-//! replaying a timeline online.
+//! replaying a timeline online. [`crate::sim::simulate_segmented`] runs
+//! through the same loop, with one price vector for every segment and
+//! the whole stream as every segment's rent horizon.
 
 use dmn_graph::{Metric, NodeId};
 
@@ -44,7 +45,7 @@ pub struct SlotOutcome {
 /// Rent is charged per slot: a copy held for `h` of a slot's `L` requests
 /// owes `cs_slot(v) * h / L` (an empty-stream slot charges no rent — no
 /// time passes). Summed over slots with identical storage costs this
-/// reproduces [`crate::sim::simulate`]'s accounting.
+/// reproduces [`crate::sim::simulate`]'s serve and transfer costs.
 ///
 /// # Errors
 /// Returns [`DynamicError`] when an object starts with no copies, a
@@ -56,22 +57,41 @@ pub fn try_replay_slots(
     initial: &[Vec<NodeId>],
     strategy: &mut dyn DynamicStrategy,
 ) -> Result<Vec<SlotOutcome>, DynamicError> {
+    let slots = slots
+        .iter()
+        .map(|slot| (slot.storage_cost.as_slice(), slot.stream.as_slice()));
+    replay(metric, slots, None, initial, strategy)
+}
+
+/// The accounting loop behind [`try_replay_slots`] and
+/// [`crate::sim::simulate_segmented`]: each `(storage costs, requests)`
+/// slot is served in order, and a copy held for `h` requests owes
+/// `cs(v) * h / horizon` of that slot's rent, where `horizon` is
+/// `rent_horizon` when given and the slot's own length otherwise (at
+/// least 1 either way).
+pub(crate) fn replay<'a>(
+    metric: &Metric,
+    slots: impl IntoIterator<Item = (&'a [f64], &'a [Request])>,
+    rent_horizon: Option<usize>,
+    initial: &[Vec<NodeId>],
+    strategy: &mut dyn DynamicStrategy,
+) -> Result<Vec<SlotOutcome>, DynamicError> {
     let n = metric.len();
     let mut copies = check_initial(initial, n)?;
-    let mut outcomes = Vec::with_capacity(slots.len());
+    let mut outcomes = Vec::new();
     let mut held: Vec<Vec<usize>> = vec![vec![0; n]; copies.len()];
 
-    for slot in slots {
-        if slot.storage_cost.len() != n {
+    for (storage_cost, stream) in slots {
+        if storage_cost.len() != n {
             return Err(DynamicError::StorageCostLength {
                 expected: n,
-                got: slot.storage_cost.len(),
+                got: storage_cost.len(),
             });
         }
-        let steps = slot.stream.len().max(1) as f64;
+        let steps = rent_horizon.unwrap_or(stream.len()).max(1) as f64;
         let mut cost = DynamicCost::default();
         let mut copies_moved = 0usize;
-        for req in &slot.stream {
+        for req in stream {
             if req.node >= n {
                 return Err(DynamicError::NodeOutOfRange {
                     node: req.node,
@@ -85,13 +105,15 @@ pub fn try_replay_slots(
                 });
             }
             let set = &mut copies[req.object];
-            let (step, multicast) = apply_request(metric, &slot.storage_cost, set, req, strategy)?;
+            let (step, multicast) = apply_request(metric, storage_cost, set, req, strategy)?;
             cost.transfer += step.transfer;
             copies_moved += step.copies_added;
             match req.kind {
                 RequestKind::Read => cost.read += step.serve,
                 RequestKind::Write => cost.write += step.serve + multicast,
             }
+            // Rent for this step: every object's held copies accrue, not
+            // just the requested one's.
             for (x, set) in copies.iter().enumerate() {
                 for &v in set.iter() {
                     held[x][v] += 1;
@@ -102,7 +124,7 @@ pub fn try_replay_slots(
         for per_object in held.iter_mut() {
             for (v, h) in per_object.iter_mut().enumerate() {
                 if *h > 0 {
-                    cost.storage += slot.storage_cost[v] * (*h as f64 / steps);
+                    cost.storage += storage_cost[v] * (*h as f64 / steps);
                     *h = 0;
                 }
             }
@@ -161,12 +183,10 @@ mod tests {
         for o in &outcomes {
             total += o.cost;
         }
-        // Same serve/transfer; rent differs only in pro-rating granularity
-        // (per-slot vs whole-stream), which cancels for equal-length slots
-        // under constant costs: cs * (10/10) per slot * 4 slots vs
-        // cs * (40/40)... scaled by slot count.
-        assert!((total.serve() - whole.serve()).abs() < 1e-9);
-        assert!((total.transfer - whole.transfer).abs() < 1e-9);
+        // Same loop, same serve and transfer bits; only the rent differs,
+        // pro-rated per slot here and over the whole stream in `simulate`.
+        assert_eq!(total.serve().to_bits(), whole.serve().to_bits());
+        assert_eq!(total.transfer.to_bits(), whole.transfer.to_bits());
     }
 
     #[test]

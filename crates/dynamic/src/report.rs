@@ -63,7 +63,7 @@ impl CompetitiveReport {
     }
 
     /// Serializes the report (breakdown columns, total and per-phase
-    /// ratios) for machine consumers (`sweep`, `BENCH_ci.json`).
+    /// ratios) for machine consumers (the `sweep` binary).
     pub fn to_json(&self) -> Json {
         let cost_json = |c: &DynamicCost| {
             Json::obj([

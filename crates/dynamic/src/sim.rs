@@ -21,6 +21,7 @@ use dmn_graph::mst::metric_mst_weight;
 use dmn_graph::{Metric, NodeId};
 
 use crate::error::DynamicError;
+use crate::replay::replay;
 use crate::strategy::DynamicStrategy;
 use crate::stream::{Request, RequestKind};
 
@@ -69,11 +70,12 @@ pub(crate) struct StepOutcome {
     pub copies_added: usize,
 }
 
-/// Applies one request to `set` under the model-authority rules shared by
-/// every simulator entry point: the strategy reconfigures first, forbidden
-/// replications are rejected (cancelling paired invalidations when *all*
-/// replications were rejected), last-copy invalidations are ignored, then
-/// the request is served from the resulting set.
+/// Applies one request to `set` under the model-authority rules of the
+/// accounting loop ([`crate::replay::try_replay_slots`]): the strategy
+/// reconfigures first, forbidden replications are rejected (cancelling
+/// paired invalidations when *all* replications were rejected), last-copy
+/// invalidations are ignored, then the request is served from the
+/// resulting set.
 pub(crate) fn apply_request(
     metric: &Metric,
     storage_cost: &[f64],
@@ -139,45 +141,23 @@ pub fn simulate(
     stream: &[Request],
     strategy: &mut dyn DynamicStrategy,
 ) -> DynamicCost {
-    try_simulate(metric, storage_cost, initial, stream, strategy).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Like [`simulate`], but returns a typed error instead of panicking on
-/// degenerate inputs — the entry point for fuzzer-generated runs.
-///
-/// # Errors
-/// Returns [`DynamicError`] on an empty initial copy set or an
-/// out-of-range object/node reference.
-pub fn try_simulate(
-    metric: &Metric,
-    storage_cost: &[f64],
-    initial: &[Vec<NodeId>],
-    stream: &[Request],
-    strategy: &mut dyn DynamicStrategy,
-) -> Result<DynamicCost, DynamicError> {
-    let segments = try_simulate_segmented(
-        metric,
-        storage_cost,
-        initial,
-        stream,
-        strategy,
-        stream.len().max(1),
-    )?;
-    let mut total = DynamicCost::default();
-    for seg in segments {
-        total += seg;
-    }
-    Ok(total)
+    // One segment spans the whole stream (an empty stream still yields
+    // one zero segment).
+    let whole = stream.len().max(1);
+    simulate_segmented(metric, storage_cost, initial, stream, strategy, whole)[0]
 }
 
 /// Simulates `strategy` over `stream` like [`simulate`], but returns the
 /// cost decomposed into consecutive segments of `segment_len` requests
-/// (the last segment may be shorter). Per-phase empirical competitive
-/// ratios on phase-shifting streams are built on this: pass the stream's
-/// phase length and divide per-segment totals.
+/// (the last segment may be shorter; an empty stream yields one zero
+/// segment). Per-phase empirical competitive ratios on phase-shifting
+/// streams are built on this: pass the stream's phase length and divide
+/// per-segment totals.
 ///
-/// Storage rent stays pro-rated over the *whole* stream, so summing the
-/// segments reproduces [`simulate`] exactly.
+/// The segments run through the slot replay's accounting loop, with the
+/// whole stream as every segment's rent horizon: storage rent stays
+/// pro-rated over the *whole* stream, so summing the segments reproduces
+/// [`simulate`].
 ///
 /// # Panics
 /// Panics when `segment_len` is zero, an object *starts* with no copies,
@@ -191,8 +171,16 @@ pub fn simulate_segmented(
     strategy: &mut dyn DynamicStrategy,
     segment_len: usize,
 ) -> Vec<DynamicCost> {
-    try_simulate_segmented(metric, storage_cost, initial, stream, strategy, segment_len)
+    assert!(segment_len > 0, "segment length must be positive");
+    let segments = stream
+        .chunks(segment_len)
+        .chain(stream.is_empty().then_some(stream))
+        .map(|segment| (storage_cost, segment));
+    replay(metric, segments, Some(stream.len()), initial, strategy)
         .unwrap_or_else(|e| panic!("{e}"))
+        .into_iter()
+        .map(|segment| segment.cost)
+        .collect()
 }
 
 /// Normalizes and checks the initial copy sets: sorted, deduped,
@@ -215,88 +203,6 @@ pub(crate) fn check_initial(
         }
     }
     Ok(copies)
-}
-
-/// Like [`simulate_segmented`], but returns a typed error instead of
-/// panicking on degenerate inputs.
-///
-/// # Errors
-/// Returns [`DynamicError`] when `segment_len` is zero, an object starts
-/// with no copies, or a request (or initial copy) references an
-/// out-of-range object/node.
-pub fn try_simulate_segmented(
-    metric: &Metric,
-    storage_cost: &[f64],
-    initial: &[Vec<NodeId>],
-    stream: &[Request],
-    strategy: &mut dyn DynamicStrategy,
-    segment_len: usize,
-) -> Result<Vec<DynamicCost>, DynamicError> {
-    if segment_len == 0 {
-        return Err(DynamicError::ZeroSegment);
-    }
-    let n = metric.len();
-    let steps = stream.len().max(1) as f64;
-    let mut copies = check_initial(initial, n)?;
-    let mut segments = vec![DynamicCost::default(); stream.len().div_ceil(segment_len).max(1)];
-    // Steps held per (object, node), flushed into rent at segment ends so
-    // a copy held for the whole stream costs exactly `cs(v) * (T/T)`.
-    let mut held: Vec<Vec<usize>> = vec![vec![0; n]; copies.len()];
-    let flush_rent = |cost: &mut DynamicCost, held: &mut Vec<Vec<usize>>| {
-        for per_object in held.iter_mut() {
-            for (v, h) in per_object.iter_mut().enumerate() {
-                if *h > 0 {
-                    cost.storage += storage_cost[v] * (*h as f64 / steps);
-                    *h = 0;
-                }
-            }
-        }
-    };
-
-    for (i, req) in stream.iter().enumerate() {
-        let seg = i / segment_len;
-        if i > 0 && i % segment_len == 0 {
-            let prev = &mut segments[seg - 1];
-            flush_rent(prev, &mut held);
-        }
-        let cost = &mut segments[seg];
-        if req.node >= n {
-            return Err(DynamicError::NodeOutOfRange {
-                node: req.node,
-                nodes: n,
-            });
-        }
-        if req.object >= copies.len() {
-            return Err(DynamicError::ObjectOutOfRange {
-                object: req.object,
-                objects: copies.len(),
-            });
-        }
-        let set = &mut copies[req.object];
-
-        // Strategy reconfigures first; `apply_request` is the model
-        // authority (forbidden replications rejected, paired
-        // invalidations cancelled with them, last-copy invalidations
-        // ignored), then serves.
-        let (step, multicast) = apply_request(metric, storage_cost, set, req, strategy)?;
-        cost.transfer += step.transfer;
-        match req.kind {
-            RequestKind::Read => cost.read += step.serve,
-            RequestKind::Write => cost.write += step.serve + multicast,
-        }
-
-        // Rent for this step: every object's held copies accrue, not just
-        // the requested one's.
-        for (x, set) in copies.iter().enumerate() {
-            for &v in set.iter() {
-                held[x][v] += 1;
-            }
-        }
-    }
-    if let Some(last) = segments.last_mut() {
-        flush_rent(last, &mut held);
-    }
-    Ok(segments)
 }
 
 /// Convenience: the cost a static placement incurs on a stream (a

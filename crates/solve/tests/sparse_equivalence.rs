@@ -9,8 +9,8 @@
 //!   dense backend, on trees and general graphs alike.
 //! * **Truncation** — hotspot workloads leave nodes outside the ball, so
 //!   placements may differ; the total cost must stay within the pinned
-//!   epsilon of the dense solve (the same 1.05 ceiling the perf-smoke
-//!   `scale_ok` gate enforces), and the sparse evaluator must agree with
+//!   epsilon of the dense solve (the same 1.05 ceiling the fuzz oracle
+//!   enforces), and the sparse evaluator must agree with
 //!   the dense evaluator on the sparse placement exactly.
 //!
 //! Both properties hold for every worker-thread count too: a parallel
@@ -23,8 +23,8 @@ use dmn_solve::{solvers, FlSolverKind, MetricBackend, SolveReport, SolveRequest}
 use dmn_workloads::{Scenario, TopologyKind, WorkloadParams};
 
 /// The cost ceiling truncated solves are held to, mirroring
-/// `dmn_bench::perf_smoke::MAX_SPARSE_COST_RATIO` (pinned independently
-/// here so a bench-side relaxation cannot silently weaken this test).
+/// `dmn_bench::fuzz::MAX_SPARSE_RATIO` (pinned independently here so a
+/// bench-side relaxation cannot silently weaken this test).
 const MAX_SPARSE_COST_RATIO: f64 = 1.05;
 
 fn scenario(topology: TopologyKind, nodes: usize, seed: u64, truncating: bool) -> Scenario {
