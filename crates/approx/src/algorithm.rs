@@ -66,9 +66,12 @@ pub struct PhaseTimings {
     /// Phase-1 local-search moves accepted (0 for non-local-search
     /// backends).
     pub fl_moves: usize,
-    /// Phase-1 local-search candidate moves priced (0 for
+    /// Phase-1 local-search candidate moves enumerated (0 for
     /// non-local-search backends).
     pub fl_candidates: usize,
+    /// Phase-1 swaps the local search's shortlist re-priced exactly (0
+    /// for non-local-search backends).
+    pub fl_repriced: usize,
 }
 
 impl PhaseTimings {
@@ -80,6 +83,7 @@ impl PhaseTimings {
             radius_prune: self.radius_prune + o.radius_prune,
             fl_moves: self.fl_moves + o.fl_moves,
             fl_candidates: self.fl_candidates + o.fl_candidates,
+            fl_repriced: self.fl_repriced + o.fl_repriced,
         }
     }
 }
@@ -338,6 +342,7 @@ pub(crate) fn run_phases(
     timings.facility = span.finish();
     timings.fl_moves = fl_stats.moves;
     timings.fl_candidates = fl_stats.candidates;
+    timings.fl_repriced = fl_stats.repriced;
     rows.request(copies.iter().copied());
     let mut span = telemetry::span(telemetry::spans::SOLVE_RADIUS_ADD);
 

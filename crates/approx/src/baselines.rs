@@ -79,27 +79,17 @@ pub fn best_single_object(
     storage_cost: &[f64],
     workload: &ObjectWorkload,
 ) -> Vec<NodeId> {
-    let best = (0..metric.len())
+    // Each node is evaluated once; `min_by` keeps the first minimum.
+    let (best, _) = (0..metric.len())
         .filter(|&v| storage_cost[v].is_finite())
-        .min_by(|&a, &b| {
-            let ca = evaluate_object(
-                metric,
-                storage_cost,
-                workload,
-                &[a],
-                UpdatePolicy::MstMulticast,
+        .map(|v| {
+            let policy = UpdatePolicy::MstMulticast;
+            (
+                v,
+                evaluate_object(metric, storage_cost, workload, &[v], policy).total(),
             )
-            .total();
-            let cb = evaluate_object(
-                metric,
-                storage_cost,
-                workload,
-                &[b],
-                UpdatePolicy::MstMulticast,
-            )
-            .total();
-            ca.partial_cmp(&cb).expect("costs are not NaN")
         })
+        .min_by(|a, b| a.1.partial_cmp(&b.1).expect("costs are not NaN"))
         .expect("at least one allowed node");
     vec![best]
 }

@@ -27,6 +27,7 @@ use dmn_graph::steiner::dreyfus_wagner;
 use dmn_graph::{Graph, Metric, NodeId};
 
 use crate::instance::{Instance, ObjectWorkload};
+use crate::parallel::par_map_threads;
 use crate::placement::Placement;
 
 /// How write updates are routed to the copies.
@@ -159,13 +160,39 @@ pub fn evaluate_object_of(
 /// Evaluates a whole placement: the sum of per-object costs (the model
 /// treats objects independently).
 pub fn evaluate(instance: &Instance, placement: &Placement, policy: UpdatePolicy) -> CostBreakdown {
+    evaluate_threads(instance, placement, policy, Some(1))
+}
+
+/// [`evaluate`] with the objects spread over at most `max_threads`
+/// workers (`None` = all CPUs). The per-object costs are summed in object
+/// order, so every cap returns the same bits.
+pub fn evaluate_threads(
+    instance: &Instance,
+    placement: &Placement,
+    policy: UpdatePolicy,
+    max_threads: Option<usize>,
+) -> CostBreakdown {
+    sum_objects(instance, placement, max_threads, |x| {
+        evaluate_object_of(instance, placement, x, policy)
+    })
+}
+
+/// Checks that `placement` fits `instance`, costs every object on up to
+/// `max_threads` workers and folds the costs in object order.
+fn sum_objects(
+    instance: &Instance,
+    placement: &Placement,
+    max_threads: Option<usize>,
+    cost: impl Fn(usize) -> CostBreakdown + Sync,
+) -> CostBreakdown {
     assert_eq!(placement.num_objects(), instance.num_objects());
     placement
         .validate(instance.num_nodes())
         .expect("placement must be servable");
-    (0..instance.num_objects())
-        .map(|x| evaluate_object_of(instance, placement, x, policy))
-        .fold(CostBreakdown::default(), |acc, c| acc.add(&c))
+    let objects: Vec<usize> = (0..instance.num_objects()).collect();
+    par_map_threads(&objects, max_threads, |&x| cost(x))
+        .iter()
+        .fold(CostBreakdown::default(), |acc, c| acc.add(c))
 }
 
 /// Evaluates one object **without any dense closure**: one Dijkstra per
@@ -250,21 +277,27 @@ pub fn evaluate_sparse(
     placement: &Placement,
     policy: UpdatePolicy,
 ) -> CostBreakdown {
-    assert_eq!(placement.num_objects(), instance.num_objects());
-    placement
-        .validate(instance.num_nodes())
-        .expect("placement must be servable");
-    (0..instance.num_objects())
-        .map(|x| {
-            evaluate_object_on_graph(
-                &instance.graph,
-                &instance.storage_cost,
-                &instance.objects[x],
-                placement.copies(x),
-                policy,
-            )
-        })
-        .fold(CostBreakdown::default(), |acc, c| acc.add(&c))
+    evaluate_sparse_threads(instance, placement, policy, Some(1))
+}
+
+/// [`evaluate_sparse`] with the objects spread over at most
+/// `max_threads` workers, summed in object order like
+/// [`evaluate_threads`].
+pub fn evaluate_sparse_threads(
+    instance: &Instance,
+    placement: &Placement,
+    policy: UpdatePolicy,
+    max_threads: Option<usize>,
+) -> CostBreakdown {
+    sum_objects(instance, placement, max_threads, |x| {
+        evaluate_object_on_graph(
+            &instance.graph,
+            &instance.storage_cost,
+            &instance.objects[x],
+            placement.copies(x),
+            policy,
+        )
+    })
 }
 
 #[cfg(test)]
@@ -420,6 +453,32 @@ mod tests {
         let c = evaluate_sparse(&inst, &p, UpdatePolicy::MstMulticast);
         assert_eq!(c.total(), 15.0);
         assert_eq!(inst.metric_build_seconds(), 0.0, "dense closure untouched");
+    }
+
+    #[test]
+    fn every_thread_cap_sums_the_same_bits() {
+        let g = generators::grid(4, 4, |u, v| 1.0 + ((u + v) % 3) as f64 * 0.3);
+        let mut inst = Instance::builder(g).uniform_storage_cost(2.5).build();
+        let mut sets = Vec::new();
+        for x in 0..7 {
+            let reads = (0..16).map(|v| (v, 0.1 * ((v * 7 + x) % 5) as f64));
+            inst.push_object(ObjectWorkload::from_sparse(16, reads, [(x, 0.7)]));
+            sets.push(vec![x, 15 - x]);
+        }
+        let p = Placement::from_copy_sets(sets);
+        let bits =
+            |c: CostBreakdown| [c.storage, c.read, c.write_serve, c.multicast].map(f64::to_bits);
+        for policy in [UpdatePolicy::MstMulticast, UpdatePolicy::UnicastStar] {
+            let dense = bits(evaluate(&inst, &p, policy));
+            let sparse = bits(evaluate_sparse(&inst, &p, policy));
+            for cap in [Some(1), Some(2), Some(3), None] {
+                assert_eq!(bits(evaluate_threads(&inst, &p, policy, cap)), dense);
+                assert_eq!(
+                    bits(evaluate_sparse_threads(&inst, &p, policy, cap)),
+                    sparse
+                );
+            }
+        }
     }
 
     #[test]

@@ -31,8 +31,8 @@ pub mod shapes;
 pub mod telemetry;
 
 pub use cost::{
-    evaluate, evaluate_object, evaluate_object_on_graph, evaluate_sparse, CostBreakdown,
-    UpdatePolicy,
+    evaluate, evaluate_object, evaluate_object_on_graph, evaluate_sparse, evaluate_sparse_threads,
+    evaluate_threads, CostBreakdown, UpdatePolicy,
 };
 pub use faults::{FaultAction, FaultGuard, FaultPlan, FaultSpec, Injected};
 pub use instance::{Instance, InstanceBuilder, ObjectWorkload, ValidationError};

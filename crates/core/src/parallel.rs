@@ -53,14 +53,15 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, &T) -> U + Sync,
 {
-    let available = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    let threads = max_threads
-        .unwrap_or(available)
-        .max(1)
-        .min(available)
-        .min(items.len());
+    let wanted = max_threads.unwrap_or(usize::MAX).max(1).min(items.len());
+    // Asking for the CPU count takes tens of microseconds; a single
+    // worker needs no answer.
+    let threads = if wanted <= 1 {
+        wanted
+    } else {
+        let available = std::thread::available_parallelism().map_or(1, |p| p.get());
+        wanted.min(available)
+    };
     if threads <= 1 {
         let mut state = init();
         return items.iter().map(|item| f(&mut state, item)).collect();

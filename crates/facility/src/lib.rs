@@ -12,9 +12,10 @@
 //! * [`local_search()`](fn@local_search) — add/drop/swap local search (the heuristic analyzed
 //!   in Korupolu–Plaxton–Rajaraman, the paper's reference 8; factor
 //!   5 + ε), backed by an incremental nearest/second-nearest assignment
-//!   table ([`FlWorkspace`]) that prices every add and swap of an
-//!   iteration in one vectorizable sweep over the clients and each drop
-//!   in one pass; [`local_search_warm()`](fn@local_search_warm) seeds it
+//!   table ([`FlWorkspace`]) that prices every add exactly and every swap
+//!   approximately in one vectorizable sweep over the clients, re-prices
+//!   exactly the few swaps that could win, and prices each drop in one
+//!   pass; [`local_search_warm()`](fn@local_search_warm) seeds it
 //!   from Mettu–Plaxton, and [`local_search_reference()`](fn@local_search_reference)
 //!   keeps the original from-scratch implementation as the equivalence
 //!   and perf baseline,

@@ -15,8 +15,9 @@
 //! implementation, kept verbatim as [`local_search_reference`]). The fast
 //! path ([`FlWorkspace`]) instead maintains, per client `v`, the nearest
 //! and second-nearest *open* facility — Whitaker's assignment tables —
-//! written `d₁(v)` and `d₂(v)` below. A client's share of any candidate's
-//! cost is then one lookup and at most one comparison:
+//! written `d₁(v)` and `d₂(v)` below (`d₂ = ∞` while one site is open).
+//! A client's share of any candidate's cost is then one lookup and at most
+//! one comparison:
 //!
 //! * **add `f`** — client `v` pays `min(d₁(v), ct(v, f))`;
 //! * **drop `g`** — `v` pays `d₂(v)` if its nearest is `g`, else `d₁(v)`
@@ -27,16 +28,64 @@
 //!
 //! Each drop is priced by its own `O(|clients|)` pass. Adds and swaps are
 //! priced together, once per iteration, in a table with one column per
-//! node `f`: row 0 holds the adds, and row `1 + i` the swaps that close
-//! `open[i]`. Every entry starts at its candidate's opening cost; one
-//! sweep over the clients in ascending order then adds client `v`'s share
-//! to every entry, reading `ct(v, f)` contiguously from `v`'s own metric
-//! row. `alt(v)` is fixed along a row, so the inner loop over `f` carries
-//! no dependency and vectorizes, yet each entry still receives exactly
-//! the floating-point operations of a single-candidate pass, in the same
-//! order (Rust never contracts `a * b + c` into a fused multiply-add, so
-//! every vector lane rounds like the scalar loop). The table holds
-//! `(|open| + 1) · n` prices, at most the `n²` of the metric itself.
+//! node `f`: row 0 holds the adds, and row `1 + k` the swaps that close
+//! `open[k]`. Row 0 starts at each add's opening cost, every other row at
+//! zero, and one sweep over the clients in ascending order touches two
+//! rows per client, reading `ct(v, f)` contiguously from `v`'s own metric
+//! row:
+//!
+//! * row 0 gets `w_v · min(d₁(v), ct(v, f))` — after the sweep it holds
+//!   the exact add prices `P₀[f]`;
+//! * row `1 + k(v)`, where `open[k(v)]` is `v`'s nearest site, gets
+//!   `w_v · (min(d₂(v), ct(v, f)) − min(d₁(v), ct(v, f)))`. Summed over
+//!   the clients served by `open[k]` this is the correction `D[k][f]`.
+//!
+//! In exact arithmetic `swap(k, f) = P₀[f] − cs(open[k]) + D[k][f]`: only
+//! the clients of `open[k]` pay more than in the add of `f`, and they pay
+//! exactly their correction. This is Whitaker's gain − loss + extra,
+//! grouped differently (Resende & Werneck, "A fast swap-based local
+//! search procedure for location problems", 2007). The inner loops carry
+//! no dependency across `f` and vectorize; Rust never contracts
+//! `a * b + c` into a fused multiply-add, so every vector lane rounds like
+//! the scalar loop. The table holds `(|open| + 1) · n` prices, at most the
+//! `n²` of the metric itself.
+//!
+//! # Shortlist, then exact re-pricing
+//!
+//! The add prices are exact: each entry receives the floating-point
+//! operations of a single-candidate pass, in the same order. The swap
+//! estimates `e = (P₀[f] − cs(open[k])) + D[k][f]` round differently from
+//! an exact swap pass, so they only decide which swaps to price exactly.
+//! With `m` clients and `p` open sites, standard recursive-summation
+//! bounds put the estimate and the exact pass each within
+//! `γ_{m+p+3} · Q` of the real-valued swap cost, where `γ_k ≈ k·ε/2`,
+//! `Q` is the sum of the magnitudes of all terms, `Q ≤ (|e| + 4Z) / (1 −
+//! γ_{m+p+3})`, and `Z = Σ_{g ∈ open} |cs(g)| + max_f |cs(f)|` (every term
+//! but the opening costs is non-negative, as `d₂ ≥ d₁`). Each swap row
+//! therefore ends the iteration holding the *floor* `e − s(e)` of its
+//! swap's exact price, with the slack `s(e) = 4(m + p + 4)·ε·(|e| + 4Z)`
+//! plus the least positive normal (for underflow). That is about four
+//! times the bound, which also covers the rounding of the slack and of the
+//! comparisons below. The *ceiling* is the least of the exact add prices
+//! and the swap estimates' upper ends `e + s(e)`: some candidate costs at
+//! most that much.
+//!
+//! Enumeration then runs in the reference's order. A swap whose floor
+//! lies above the ceiling is strictly dearer than some candidate, and one
+//! whose floor lies above the acceptance threshold cannot be accepted, so
+//! neither can be the first strict minimum below the threshold: it is
+//! skipped. Every other swap — including every NaN or infinite estimate,
+//! whose floor is NaN — is re-priced by an exact pass in the reference's
+//! order, opening cost first, then `+= w · min(alt(v), ct(v, f))` over
+//! ascending clients. The rule that picks the move is then unchanged, and
+//! the skipped swaps still count as enumerated candidates. The band is
+//! what keeps the pick: with a zero slack, the 12×12 unit-grid case of
+//! `dmn-solve`'s `fl_equivalence` takes other moves than the reference.
+//!
+//! The cold start is the cheapest single site. One row-major sweep adds
+//! `w_v · ct(v, f)` over ascending clients to a per-site accumulator,
+//! which is exactly `connection_cost(&[f])`, and the first strict minimum
+//! of `cs(f) + conn(f)` in site order is the reference's `min_by` pick.
 //!
 //! Candidate costs are accumulated in the *same floating-point order* as
 //! the reference (`opening cost in sorted facility order, then
@@ -50,7 +99,9 @@
 //! reference (pinned by `tests/incremental.rs`, from cold and warm
 //! starts). The assignment tables are touched only when a move is
 //! *accepted*: an add updates them in `O(|clients|)`, a drop/swap rescans
-//! only the clients that pointed at the closed facility.
+//! only the clients that pointed at the closed facility. Every read lands
+//! on a client's row, so a metric whose rows are built on demand needs
+//! no other row.
 
 use dmn_graph::NodeId;
 
@@ -81,8 +132,11 @@ impl Default for LocalSearchConfig {
 pub struct SearchStats {
     /// Accepted moves (= iterations that improved the solution).
     pub moves: usize,
-    /// Candidate moves priced across all iterations.
+    /// Candidate moves enumerated across all iterations.
     pub candidates: usize,
+    /// Swaps the shortlist kept and re-priced exactly (every other swap
+    /// was provably not the pick; see the module docs).
+    pub repriced: usize,
 }
 
 impl SearchStats {
@@ -91,6 +145,7 @@ impl SearchStats {
         SearchStats {
             moves: self.moves + o.moves,
             candidates: self.candidates + o.candidates,
+            repriced: self.repriced + o.repriced,
         }
     }
 }
@@ -129,10 +184,14 @@ pub struct FlWorkspace {
     clients: Vec<NodeId>,
     /// Finite-opening-cost nodes of the current instance.
     sites: Vec<NodeId>,
+    /// The sites not open in the current iteration, ascending.
+    closed: Vec<NodeId>,
     /// Add and swap prices of the current iteration, `n` per row: row 0,
-    /// column `f` is the cost of `open + {f}`; row `1 + i`, column `f` the
-    /// cost of `open - {open[i]} + {f}`. Open and forbidden columns are
-    /// filled but never read.
+    /// column `f` is the exact cost of `open + {f}`; row `1 + k`, column
+    /// `f` a floor under the exact cost of `open - {open[k]} + {f}`,
+    /// derived from the correction sum `D[k][f]` of the clients that
+    /// `open[k]` serves (module docs). Only closed sites' columns are
+    /// read. The cold start borrows row 0 for its connection sums.
     prices: Vec<f64>,
     /// Counters of the most recent run.
     stats: SearchStats,
@@ -154,7 +213,7 @@ impl FlWorkspace {
     /// results to [`local_search_reference`], see the module docs).
     pub fn local_search(&mut self, inst: &FlInstance, cfg: &LocalSearchConfig) -> FlSolution {
         self.prepare(inst);
-        let start = best_single(inst, &self.sites);
+        let start = self.cheapest_single(inst);
         self.search(inst, vec![start], cfg)
     }
 
@@ -180,6 +239,28 @@ impl FlWorkspace {
             "warm start contains a forbidden site"
         );
         self.search(inst, open, cfg)
+    }
+
+    /// The cheapest single site, as `best_single` picks it: one row-major
+    /// sweep sums each site's connection cost over ascending clients (the
+    /// operations of `connection_cost(&[f])`), then the first minimum of
+    /// `cs(f) + conn(f)` in site order wins.
+    fn cheapest_single(&mut self, inst: &FlInstance) -> NodeId {
+        let conn = &mut self.prices;
+        conn.clear();
+        conn.resize(inst.len(), 0.0);
+        for &v in &self.clients {
+            let w = inst.demand[v];
+            for (c, &d) in conn.iter_mut().zip(inst.metric.row(v)) {
+                *c += w * d;
+            }
+        }
+        self.sites
+            .iter()
+            .map(|&f| (f, inst.open_cost[f] + conn[f]))
+            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("costs are not NaN"))
+            .expect("at least one site")
+            .0
     }
 
     /// Refreshes the client/site lists for `inst` and clears the counters.
@@ -209,41 +290,39 @@ impl FlWorkspace {
         let mut cost = inst.total_cost(&open);
         self.rebuild_tables(inst, &open);
         for _ in 0..cfg.max_iterations {
-            self.fill_prices(inst, &open);
+            let ceiling = self.fill_prices(inst, &open);
             let threshold = cost * (1.0 - cfg.min_relative_gain);
             let mut best: Option<(Move, f64)> = None;
-            let mut candidates = 0usize;
             let consider = |mv: Move, c: f64, best: &mut Option<(Move, f64)>| {
                 if c < threshold && best.as_ref().is_none_or(|(_, bc)| c < *bc) {
                     *best = Some((mv, c));
                 }
             };
             // Adds.
-            for &f in &self.sites {
-                if open.binary_search(&f).is_err() {
-                    candidates += 1;
-                    consider(Move::Add(f), self.prices[f], &mut best);
-                }
+            for &f in &self.closed {
+                consider(Move::Add(f), self.prices[f], &mut best);
             }
             // Drops.
-            if open.len() > 1 {
-                for i in 0..open.len() {
-                    candidates += 1;
-                    let c = self.price_drop(inst, &open, i);
-                    consider(Move::Drop(i), c, &mut best);
-                }
+            let drops = if open.len() > 1 { open.len() } else { 0 };
+            for i in 0..drops {
+                let c = self.price_drop(inst, &open, i);
+                consider(Move::Drop(i), c, &mut best);
             }
-            // Swaps.
+            // Swaps: one whose floor lies above the bar is strictly dearer
+            // than some candidate or not below the threshold, so it cannot
+            // be the pick; every other swap is re-priced exactly.
+            let bar = threshold.min(ceiling);
             for i in 0..open.len() {
-                for &f in &self.sites {
-                    if open.binary_search(&f).is_err() {
-                        candidates += 1;
-                        let c = self.prices[(i + 1) * n + f];
-                        consider(Move::Swap(i, f), c, &mut best);
+                for &f in &self.closed {
+                    if self.prices[(i + 1) * n + f] > bar {
+                        continue;
                     }
+                    self.stats.repriced += 1;
+                    let c = self.price_swap(inst, &open, i, f);
+                    consider(Move::Swap(i, f), c, &mut best);
                 }
             }
-            self.stats.candidates += candidates;
+            self.stats.candidates += (open.len() + 1) * self.closed.len() + drops;
             match best {
                 Some((mv, c)) => {
                     self.apply(inst, &mut open, mv);
@@ -256,30 +335,80 @@ impl FlWorkspace {
         FlSolution { open, cost }
     }
 
-    /// Fills `prices` with the exact cost of every add and swap over
-    /// `open`: one sweep over the clients in ascending order, each adding
-    /// its share to every entry (see the module docs).
-    fn fill_prices(&mut self, inst: &FlInstance, open: &[NodeId]) {
+    /// Lists the closed sites and prices their adds and swaps over
+    /// `open`: row 0 of `prices` gets every add's exact cost, row `1 + k`
+    /// a floor under every swap's exact cost, all from one sweep over the
+    /// clients that touches two rows per client. Returns the ceiling:
+    /// some add or swap costs at most that much (see the module docs).
+    fn fill_prices(&mut self, inst: &FlInstance, open: &[NodeId]) -> f64 {
         let n = inst.len();
+        self.closed.clear();
+        let closed = self.sites.iter().filter(|f| open.binary_search(f).is_err());
+        self.closed.extend(closed);
         self.prices.clear();
-        if open.len() == self.sites.len() {
+        if self.closed.is_empty() {
             // Every site is open: no add or swap exists.
-            return;
+            return f64::INFINITY;
         }
-        for skip in std::iter::once(None).chain((0..open.len()).map(Some)) {
-            self.prices
-                .extend((0..n).map(|f| opening_cost_edited(inst, open, skip, Some(f))));
-        }
+        self.prices
+            .extend((0..n).map(|f| opening_cost_edited(inst, open, None, Some(f))));
+        self.prices.resize((open.len() + 1) * n, 0.0);
+        let (adds, swaps) = self.prices.split_at_mut(n);
         for &v in &self.clients {
             let (w, dist) = (inst.demand[v], inst.metric.row(v));
-            let (g, d1, d2) = (self.nearest[v], self.near_d[v], self.second_d[v]);
-            for (k, row) in self.prices.chunks_exact_mut(n).enumerate() {
-                let alt = if k > 0 && open[k - 1] == g { d2 } else { d1 };
-                for (c, &d) in row.iter_mut().zip(dist) {
-                    *c += w * alt.min(d);
+            let (d1, d2) = (self.near_d[v], self.second_d[v]);
+            match open.binary_search(&self.nearest[v]) {
+                Ok(k) => {
+                    let extra = &mut swaps[k * n..(k + 1) * n];
+                    for ((a, x), &d) in adds.iter_mut().zip(extra).zip(dist) {
+                        let near = d1.min(d);
+                        *a += w * near;
+                        *x += w * (d2.min(d) - near);
+                    }
+                }
+                // No open site within reach: every swap prices `v` as
+                // the adds do.
+                Err(_) => {
+                    for (a, &d) in adds.iter_mut().zip(dist) {
+                        *a += w * d1.min(d);
+                    }
                 }
             }
         }
+        let gamma = 4.0 * (self.clients.len() + open.len() + 4) as f64 * f64::EPSILON;
+        let largest = self.closed.iter().map(|&f| inst.open_cost[f].abs());
+        let z = open.iter().map(|&g| inst.open_cost[g].abs()).sum::<f64>()
+            + largest.fold(0.0, f64::max);
+        let mut ceiling = self
+            .closed
+            .iter()
+            .map(|&f| adds[f])
+            .fold(f64::INFINITY, f64::min);
+        for (k, extra) in swaps.chunks_exact_mut(n).enumerate() {
+            let closing = inst.open_cost[open[k]];
+            for &f in &self.closed {
+                let e = (adds[f] - closing) + extra[f];
+                let slack = gamma * (e.abs() + 4.0 * z) + f64::MIN_POSITIVE;
+                ceiling = ceiling.min(e + slack);
+                extra[f] = e - slack;
+            }
+        }
+        ceiling
+    }
+
+    /// Exact cost of `open - {open[i]} + {f}`, in the reference's order.
+    fn price_swap(&self, inst: &FlInstance, open: &[NodeId], i: usize, f: NodeId) -> f64 {
+        let g = open[i];
+        let mut c = opening_cost_edited(inst, open, Some(i), Some(f));
+        for &v in &self.clients {
+            let alt = if self.nearest[v] == g {
+                self.second_d[v]
+            } else {
+                self.near_d[v]
+            };
+            c += inst.demand[v] * alt.min(inst.metric.dist(v, f));
+        }
+        c
     }
 
     /// Exact cost of `open - {open[i]}` via the second-nearest table.
@@ -621,6 +750,38 @@ mod tests {
                 fast.cost,
                 seed.cost
             );
+        }
+    }
+
+    #[test]
+    fn fast_path_matches_reference_across_unreachable_sites() {
+        // Two components with no path between them: some clients start
+        // with no open site in reach, and a swap that strands a client
+        // has an infinite estimate, so the shortlist must keep it.
+        let inf = f64::INFINITY;
+        #[rustfmt::skip]
+        let d = vec![
+            0.0, 1.0, 2.0, inf, inf,
+            1.0, 0.0, 1.0, inf, inf,
+            2.0, 1.0, 0.0, inf, inf,
+            inf, inf, inf, 0.0, 3.0,
+            inf, inf, inf, 3.0, 0.0,
+        ];
+        let m = Metric::from_matrix(5, d);
+        for open_cost in [0.5, 2.0, 50.0] {
+            let inst = FlInstance::new(&m, vec![open_cost; 5], vec![1.0, 2.0, 0.0, 1.0, 3.0]);
+            let cfg = LocalSearchConfig::default();
+            let mut ws = FlWorkspace::new();
+            let fast = ws.local_search(&inst, &cfg);
+            let seed = local_search_reference(&inst, &cfg);
+            assert_eq!(fast.open, seed.open, "open_cost {open_cost}");
+            assert_eq!(
+                fast.cost.to_bits(),
+                seed.cost.to_bits(),
+                "open_cost {open_cost}"
+            );
+            assert!(fast.cost.is_finite(), "both components get a site");
+            assert!(ws.last_stats().repriced > 0);
         }
     }
 

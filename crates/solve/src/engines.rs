@@ -152,10 +152,11 @@ impl Solver for ApproxSolver {
                 "facility-location",
                 timings.facility,
                 format!(
-                    "{p1} copies opened ({}), {} moves / {} candidates",
+                    "{p1} copies opened ({}), {} moves / {} candidates / {} re-priced",
                     cfg.fl_solver.name(),
                     timings.fl_moves,
-                    timings.fl_candidates
+                    timings.fl_candidates,
+                    timings.fl_repriced
                 ),
             ),
             PhaseStat::new("radius-add", timings.radius_add, format!("-> {p2} copies")),
@@ -169,6 +170,7 @@ impl Solver for ApproxSolver {
             ("fl-backend", cfg.fl_solver.name().to_string()),
             ("fl-moves", timings.fl_moves.to_string()),
             ("fl-candidates", timings.fl_candidates.to_string()),
+            ("fl-repriced", timings.fl_repriced.to_string()),
             ("metric-backend", req.metric.backend.name().to_string()),
         ];
         if sparse {

@@ -3,7 +3,7 @@
 use std::fmt;
 
 use dmn_approx::PhaseTrace;
-use dmn_core::cost::{evaluate, evaluate_sparse, CostBreakdown, UpdatePolicy};
+use dmn_core::cost::{evaluate_sparse_threads, evaluate_threads, CostBreakdown, UpdatePolicy};
 use dmn_core::instance::Instance;
 use dmn_core::placement::Placement;
 use dmn_json::Json;
@@ -147,14 +147,15 @@ impl SolveReport {
         // cost is evaluated per object over copy-rooted Dijkstra rows
         // instead of the dense closure. The two dense fallbacks: exact
         // Steiner accounting enumerates over the full metric, and the
-        // capacity repair above already forced the closure.
+        // capacity repair above already forced the closure. Objects are
+        // evaluated on the solve's worker cap and summed in object order.
         let sparse_eval = req.wants_sparse_metric()
             && req.cap.capacities.is_none()
             && req.policy != UpdatePolicy::ExactSteiner;
         let cost = if sparse_eval {
-            evaluate_sparse(instance, &placement, req.policy)
+            evaluate_sparse_threads(instance, &placement, req.policy, req.max_threads)
         } else {
-            evaluate(instance, &placement, req.policy)
+            evaluate_threads(instance, &placement, req.policy, req.max_threads)
         };
         // Every report surfaces the closure-build phase: engines on the
         // sparse path push their own `metric-build` entry (truncated rows);
@@ -258,6 +259,7 @@ impl SolveReport {
             ),
             ("fl_moves", Json::Num(self.meta_count("fl-moves"))),
             ("fl_candidates", Json::Num(self.meta_count("fl-candidates"))),
+            ("fl_repriced", Json::Num(self.meta_count("fl-repriced"))),
             ("degraded", Json::Bool(self.degraded)),
             ("deadline_exceeded", Json::Bool(self.deadline_exceeded)),
             (
@@ -485,7 +487,11 @@ mod tests {
             Placement::from_copy_sets(vec![vec![1]]),
             vec![PhaseStat::new("alpha", 0.5, "detail")],
             None,
-            vec![("fl-moves", "7".into()), ("fl-backend", "beta".into())],
+            vec![
+                ("fl-moves", "7".into()),
+                ("fl-repriced", "2".into()),
+                ("fl-backend", "beta".into()),
+            ],
             std::time::Instant::now(),
         );
         report.capacity = Some(CapacityStats {
@@ -499,6 +505,8 @@ mod tests {
         assert_eq!(json.get("solver").unwrap().as_str(), Some("test"));
         assert_eq!(json.get("total_cost").unwrap().as_f64(), Some(10.0));
         assert_eq!(json.get("fl_moves").unwrap().as_f64(), Some(7.0));
+        assert_eq!(json.get("fl_repriced").unwrap().as_f64(), Some(2.0));
+        assert!(report.to_string().contains("fl-repriced = 2"));
         assert_eq!(json.get("fl_backend").unwrap().as_str(), Some("beta"));
         assert_eq!(
             json.get("capacity").unwrap().get("repair_cost").unwrap(),

@@ -12,7 +12,7 @@
 //! parallel == sequential, and FL move counters visible in the report.
 
 use dmn_approx::FlSolverKind;
-use dmn_solve::{solvers, SolveRequest};
+use dmn_solve::{solvers, SolveReport, SolveRequest};
 use dmn_workloads::{Scenario, TopologyKind, WorkloadParams};
 
 fn scenario(nodes: usize, objects: usize, seed: u64) -> Scenario {
@@ -26,6 +26,34 @@ fn scenario(nodes: usize, objects: usize, seed: u64) -> Scenario {
             base_mass: 90.0,
             write_fraction: 0.25,
             ..Default::default()
+        },
+        seed,
+        capacities: None,
+        stream: None,
+        drift: None,
+        faults: None,
+        timeline: None,
+    }
+}
+
+/// A `side × side` unit grid with the dense benchmark's workload: every
+/// node is a client, so phase 1 opens many sites and prices many swaps.
+fn unit_grid(side: usize, objects: usize, seed: u64) -> Scenario {
+    Scenario {
+        name: "fl-equivalence-grid".into(),
+        topology: TopologyKind::Grid {
+            rows: side,
+            cols: side,
+        },
+        nodes: side * side,
+        storage_cost: 4.0,
+        workload: WorkloadParams {
+            num_objects: objects,
+            base_mass: 120.0,
+            zipf_exponent: 0.8,
+            write_fraction: 0.2,
+            active_fraction: 1.0,
+            locality: 0.0,
         },
         seed,
         capacities: None,
@@ -182,4 +210,64 @@ fn warm_start_is_deterministic_and_reports_fewer_moves() {
         moves(&cold)
     );
     warm1.placement.validate(instance.num_nodes()).unwrap();
+}
+
+/// The fast path prices swaps from estimates and re-prices only a
+/// shortlist exactly. On a unit grid many swaps tie or nearly tie, and an
+/// estimate can round to the other side of the best exact price: without
+/// the error band around the shortlist's bar this instance takes another
+/// move than the reference (the random instances above do not show it).
+/// Phase-1 sets, placements and costs must match bit for bit, from a cold
+/// start and from per-object seeds.
+#[test]
+fn shortlist_keeps_the_reference_trajectory_on_a_unit_grid() {
+    let instance = unit_grid(12, 8, 42).build_instance();
+    let approx = solvers::by_name("approx").expect("registered");
+    let random = solvers::by_name("random-k").expect("registered").solve(
+        &instance,
+        &SolveRequest::new().replication_degree(3).seed(7),
+    );
+    let seeds: Vec<Vec<usize>> = (0..instance.num_objects())
+        .map(|x| random.placement.copies(x).to_vec())
+        .collect();
+    let phase1 = |r: &SolveReport| -> Vec<Vec<usize>> {
+        let traces = r.traces.as_ref().expect("traces collected");
+        traces.iter().map(|t| t.after_phase1.clone()).collect()
+    };
+    let count = |r: &SolveReport, key: &str| -> usize {
+        r.meta_value(key).and_then(|v| v.parse().ok()).expect(key)
+    };
+    for (start, req) in [
+        ("cold", SolveRequest::new()),
+        ("placement", SolveRequest::new().warm_placement(seeds)),
+    ] {
+        let req = req.collect_traces(true);
+        let fast = approx.solve(&instance, &req);
+        let reference = approx.solve(
+            &instance,
+            &req.clone().fl_solver(FlSolverKind::LocalSearchRef),
+        );
+        assert_eq!(
+            phase1(&fast),
+            phase1(&reference),
+            "{start}: phase-1 sets diverged"
+        );
+        assert_eq!(
+            fast.placement, reference.placement,
+            "{start}: placement diverged"
+        );
+        assert_eq!(
+            fast.cost.total().to_bits(),
+            reference.cost.total().to_bits(),
+            "{start}: cost {} vs {}",
+            fast.cost.total(),
+            reference.cost.total()
+        );
+        let repriced = count(&fast, "fl-repriced");
+        assert!(
+            0 < repriced && repriced < count(&fast, "fl-candidates"),
+            "{start}: {repriced} swaps re-priced"
+        );
+        assert_eq!(count(&reference, "fl-repriced"), 0, "{start}");
+    }
 }
