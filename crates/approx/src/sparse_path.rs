@@ -29,8 +29,8 @@
 //! rows and the whole trajectory — facility location, radii, both radius
 //! phases — reproduces the dense path exactly, warm seeds included; with
 //! a truncated set the result may differ because facilities outside the
-//! ball are not considered, which the E16 experiment and the perf-smoke
-//! `scale_ok` gate bound in cost.
+//! ball are not considered, which the E16 experiment and the fuzz
+//! oracle's `sparse-ratio` check bound in cost.
 
 use dmn_core::instance::ObjectWorkload;
 use dmn_facility::FlWorkspace;

@@ -10,7 +10,6 @@
 //!     --capacities uniform:2
 //! cargo run --release -p dmn-bench --bin experiments -- --cap-engine greedy-local \
 //!     --capacities uniform:1
-//! cargo run --release -p dmn-bench --bin experiments -- perf-smoke --out BENCH_ci.json
 //! ```
 //!
 //! Reports print to stdout and are persisted as JSON under `results/`.
@@ -20,17 +19,9 @@
 //! experiment runs capacitated end-to-end, `--cap-engine INNER` is
 //! shorthand for the native `cap:INNER` engine) and its `SolveReport`s
 //! (placements, cost breakdowns, per-phase timings) are printed.
-//! `perf-smoke` is the CI timing runner: on a pinned scenario it times
-//! the incremental phase-1 local search against the seed implementation,
-//! the server's drift-trace replay with telemetry disarmed and armed, and
-//! (release builds) the 10k-node sparse solve, writes the timing/cost/
-//! counter artifact, and exits non-zero when the two local searches place
-//! differently (`fast_matches_seed`), a post-swap server cost deviates from
-//! a from-scratch solve (`server_ok`), the replay samples no latencies
-//! (`obs_ok`), or — release builds only — a timing leaves its pinned
-//! envelope.
 
 use dmn_approx::FlSolverKind;
+use dmn_bench::server_bench::smoke_scenario;
 use dmn_solve::{solvers, MetricBackend, SolveRequest};
 use dmn_workloads::{Scenario, TopologyKind, WorkloadParams};
 
@@ -39,7 +30,6 @@ fn usage() -> ! {
         "usage: experiments <e1..e16 | all>...\n       experiments --solver <name | list> \
          [--nodes N] [--objects K] [--seed S] [--fl KIND] \
          [--metric dense|sparse] [--capacities uniform:<k>] [--cap-engine INNER]\n       \
-         experiments perf-smoke [--out PATH]\n       \
          experiments chaos [--out PATH]\n       \
          experiments metrics [--out PATH]\n       \
          experiments timeline [--scenario PATH] [--engine NAME] [--out PATH]\n       \
@@ -48,13 +38,11 @@ fn usage() -> ! {
          engines go through the greedy repair); --cap-engine INNER runs the native\n\
          capacitated engine over INNER (shorthand for --solver cap:INNER);\n\
          --metric sparse solves over per-object truncated closures instead of the\n\
-         dense O(n^2) APSP table (the 10k-node path); perf-smoke times the phase-1\n\
-         and server pairs and exits 1 when a pair's check or, in release, a timing\n\
-         floor fails; timeline exits 1 unless the warm chain adds fewer copies and\n\
-         phase-1 moves than cold within the pinned cost premium. Only engines that\n\
-         consume warm seeds (approx and the engines built on it) can pass; others\n\
-         solve both chains alike and read false, and so do local-search-ref chains,\n\
-         whose reference loop reports 0 phase-1 moves."
+         dense O(n^2) APSP table (the 10k-node path); timeline exits 1 unless the\n\
+         warm chain adds fewer copies and phase-1 moves than cold within the pinned\n\
+         cost premium. Only engines that consume warm seeds (approx and the engines\n\
+         built on it) can pass; others solve both chains alike and read false, and\n\
+         so do local-search-ref chains, whose reference loop reports 0 phase-1 moves."
     );
     std::process::exit(2);
 }
@@ -66,10 +54,6 @@ fn main() {
     }
     if args[0] == "--solver" {
         run_solver_bench(&args[1..]);
-        return;
-    }
-    if args[0] == "perf-smoke" {
-        run_perf_smoke(&args[1..]);
         return;
     }
     if args[0] == "chaos" {
@@ -93,131 +77,6 @@ fn main() {
             report.emit();
         }
     }
-}
-
-/// The CI timing runner: writes `BENCH_ci.json` and fails when the
-/// incremental local search places differently from the seed
-/// implementation, the server replay's post-swap costs deviate from
-/// from-scratch solves, or the replay samples no lookup latencies — and,
-/// in release builds, on a phase-1 speedup, armed/disarmed throughput
-/// ratio, server lookup throughput, re-solve latency, or 10k-node sparse
-/// solve wall clock outside the pinned envelope.
-fn run_perf_smoke(args: &[String]) {
-    use dmn_bench::perf_smoke::{
-        MAX_SCALE_WALL_SECONDS, MAX_SERVER_RESOLVE_SECONDS, MIN_OBS_THROUGHPUT_RATIO,
-        MIN_PHASE1_SPEEDUP, MIN_SERVER_LOOKUPS_PER_SEC,
-    };
-    let mut out = "BENCH_ci.json".to_string();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--out" => {
-                out = it
-                    .next()
-                    .unwrap_or_else(|| {
-                        eprintln!("missing value for --out");
-                        usage()
-                    })
-                    .clone();
-            }
-            _ => usage(),
-        }
-    }
-    let outcome = match dmn_bench::perf_smoke::run_to_file(&out) {
-        Ok(outcome) => outcome,
-        Err(e) => {
-            eprintln!("perf-smoke: could not write {out}: {e}");
-            std::process::exit(1);
-        }
-    };
-    if !outcome.fast_matches_seed {
-        eprintln!(
-            "perf-smoke: incremental local search DIFFERS from the seed implementation (see {out})"
-        );
-        std::process::exit(1);
-    }
-    if !outcome.server_ok {
-        eprintln!(
-            "perf-smoke: server replay FAILED — post-swap cost deviated from the \
-             from-scratch solve or too few re-solves completed (see {out})"
-        );
-        std::process::exit(1);
-    }
-    if !outcome.obs_ok {
-        eprintln!(
-            "perf-smoke: telemetry gate FAILED — armed/disarmed throughput ratio {:.3} \
-             (floor {MIN_OBS_THROUGHPUT_RATIO:.2} in release), {} latency samples, lookup \
-             p99 {:.3e}s (see {out})",
-            outcome.telemetry.overhead_ratio,
-            outcome.server.latency_samples,
-            outcome.server.lookup_p99
-        );
-        std::process::exit(1);
-    }
-    // Timing gates only where timings mean something (release, as in CI) —
-    // checked before the success line so a failing job never logs one.
-    if !cfg!(debug_assertions) && outcome.phase1_speedup < MIN_PHASE1_SPEEDUP {
-        eprintln!(
-            "perf-smoke: phase-1 speedup {:.1}x is below the {MIN_PHASE1_SPEEDUP:.0}x floor",
-            outcome.phase1_speedup
-        );
-        std::process::exit(1);
-    }
-    if !cfg!(debug_assertions) && outcome.server.lookups_per_sec < MIN_SERVER_LOOKUPS_PER_SEC {
-        eprintln!(
-            "perf-smoke: server sustained {:.0} lookups/s, below the \
-             {MIN_SERVER_LOOKUPS_PER_SEC:.0} floor",
-            outcome.server.lookups_per_sec
-        );
-        std::process::exit(1);
-    }
-    if !cfg!(debug_assertions) && outcome.server.max_resolve_seconds > MAX_SERVER_RESOLVE_SECONDS {
-        eprintln!(
-            "perf-smoke: worst server re-solve took {:.2}s, above the \
-             {MAX_SERVER_RESOLVE_SECONDS:.1}s ceiling",
-            outcome.server.max_resolve_seconds
-        );
-        std::process::exit(1);
-    }
-    // The 10k-node sparse scale run is attached in release builds only
-    // (debug timings are meaningless and the solve takes minutes there).
-    if !cfg!(debug_assertions) {
-        match &outcome.scale {
-            None => {
-                eprintln!("perf-smoke: release build attached no 10k scale run (see {out})");
-                std::process::exit(1);
-            }
-            Some(scale) if !scale.within_budget => {
-                eprintln!(
-                    "perf-smoke: the {}-node sparse solve took {:.1}s, above the \
-                     {MAX_SCALE_WALL_SECONDS:.0}s ceiling (see {out})",
-                    scale.nodes, scale.wall_seconds
-                );
-                std::process::exit(1);
-            }
-            Some(scale) => println!(
-                "perf-smoke: {}-node sparse solve in {:.1}s ({:.0} closure rows built for \
-                 {:.0} ball nodes, metric build {:.2}s)",
-                scale.nodes,
-                scale.wall_seconds,
-                scale.rows_built,
-                scale.candidate_rows,
-                scale.metric_build_seconds
-            ),
-        }
-    }
-    println!(
-        "perf-smoke: incremental == seed local search, phase-1 speedup {:.1}x; server \
-         sustained {:.0} lookups/s with post-swap costs equal to from-scratch, worst \
-         re-solve {:.2}s; telemetry overhead ratio {:.3} (lookup p50 {:.2e}s, p99 \
-         {:.2e}s); artifact at {out}",
-        outcome.phase1_speedup,
-        outcome.server.lookups_per_sec,
-        outcome.server.max_resolve_seconds,
-        outcome.telemetry.overhead_ratio,
-        outcome.server.lookup_p50,
-        outcome.server.lookup_p99
-    );
 }
 
 /// The timeline runner: per-slot re-solves (cold and warm-chained) plus
@@ -375,8 +234,7 @@ fn run_chaos(args: &[String]) {
         }
     }
     let lookups = cfg!(debug_assertions).then_some(20_000);
-    let outcome =
-        dmn_bench::chaos_replay::chaos_replay(&dmn_bench::perf_smoke::smoke_scenario(), lookups);
+    let outcome = dmn_bench::chaos_replay::chaos_replay(&smoke_scenario(), lookups);
     if let Err(e) = std::fs::write(&out, outcome.to_json().to_string_pretty()) {
         eprintln!("chaos: could not write {out}: {e}");
         std::process::exit(1);
@@ -444,8 +302,7 @@ fn run_metrics(args: &[String]) {
     use dmn_core::telemetry;
     telemetry::set_enabled(true);
     let lookups = cfg!(debug_assertions).then_some(30_000);
-    let replay =
-        dmn_bench::server_bench::replay_scenario(&dmn_bench::perf_smoke::smoke_scenario(), lookups);
+    let replay = dmn_bench::server_bench::replay_scenario(&smoke_scenario(), lookups);
     let doc = dmn_json::Json::obj([
         (
             "prometheus",

@@ -6,10 +6,10 @@
 //! cargo run --release -p dmn-bench --bin server_bench -- --lookups 200000 --out SERVER.json
 //! ```
 //!
-//! Prints the human summary and optionally writes the JSON section the
-//! perf-smoke artifact (`BENCH_ci.json`) carries under `server`.
+//! Prints the human summary and optionally writes the replay's JSON
+//! section (the one `METRICS_ci.json` carries under `replay`).
 
-use dmn_bench::{perf_smoke, server_bench};
+use dmn_bench::server_bench;
 use dmn_workloads::Scenario;
 
 fn main() {
@@ -40,7 +40,7 @@ fn main() {
             let json = dmn_json::parse(&text).unwrap_or_else(|e| panic!("parse {path}: {e}"));
             Scenario::from_json(&json).unwrap_or_else(|e| panic!("scenario {path}: {e}"))
         }
-        None => perf_smoke::smoke_scenario(),
+        None => server_bench::smoke_scenario(),
     };
 
     println!(

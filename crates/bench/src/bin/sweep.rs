@@ -151,7 +151,7 @@ fn sweep_scenario(scenario: &Scenario) -> Json {
 
     // Static: every registry engine, probed. Supported engines emit the
     // shared `SolveReport::to_json` document (same field names as the
-    // perf-smoke artifact and the server status endpoint).
+    // server status endpoint).
     let static_rows = Json::arr(solvers::all().iter().map(
         |solver| match solver.supports(&instance) {
             Ok(()) => {

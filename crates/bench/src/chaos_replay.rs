@@ -33,11 +33,11 @@ use dmn_core::telemetry;
 use dmn_json::Json;
 use dmn_server::{tcp, Event, ResilienceConfig, ServerConfig, ServerError, ServerHandle};
 use dmn_solve::solvers;
-use dmn_workloads::{sample_trace, Scenario, TraceConfig, TraceOp};
+use dmn_workloads::Scenario;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use crate::server_bench::SwapCheck;
+use crate::server_bench::{replay_drift, swaps_json, SwapCheck};
 
 /// Post-recovery replay segments; each ends in a settle + from-scratch
 /// cost comparison (the proof that chaos left no corrupt state behind).
@@ -176,7 +176,7 @@ impl ChaosOutcome {
             && self.cost_matches_scratch
     }
 
-    /// The artifact section recorded under `chaos` in `BENCH_ci.json`.
+    /// The document `experiments chaos` writes to `CHAOS_ci.json`.
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("storm_rounds", Json::Num(self.storm_rounds as f64)),
@@ -214,20 +214,7 @@ impl ChaosOutcome {
                 "cost_matches_scratch",
                 Json::Bool(self.cost_matches_scratch),
             ),
-            (
-                "swaps",
-                Json::arr(self.swap_checks.iter().map(|c| {
-                    Json::obj([
-                        ("epoch", Json::Num(c.epoch as f64)),
-                        ("server_cost", Json::Num(c.server_cost)),
-                        ("scratch_cost", Json::Num(c.scratch_cost)),
-                        (
-                            "abs_error",
-                            Json::Num((c.server_cost - c.scratch_cost).abs()),
-                        ),
-                    ])
-                })),
-            ),
+            ("swaps", swaps_json(&self.swap_checks)),
         ])
     }
 }
@@ -377,74 +364,22 @@ pub fn chaos_replay(scenario: &Scenario, lookups_override: Option<usize>) -> Cha
     // per-segment settles, exactly the clean benchmark's correctness
     // check. Any state the chaos corrupted shows up here as a cost
     // mismatch against the from-scratch solve.
-    let baseline: f64 = instance.objects.iter().map(|o| o.total_requests()).sum();
-    let events = drift.drift_events.max(CHAOS_SEGMENTS);
-    let threshold_mass = drift.resolve_threshold * baseline;
-    let drift_mass = drift
-        .drift_mass
-        .max(10.0 * threshold_mass / (2.0 * events as f64));
-    let trace = sample_trace(
-        &instance.objects,
-        &TraceConfig {
-            lookups: lookups_override.unwrap_or((drift.lookups / 4).max(10_000)),
-            drift_events: events,
-            drift_mass,
-            hotspot_shift: num_nodes / 5 + 1,
-            ..TraceConfig::default()
-        },
-        &mut ChaCha8Rng::seed_from_u64(scenario.seed ^ 0xC4A0),
+    let replay = replay_drift(
+        &server,
+        &instance,
+        &drift,
+        CHAOS_SEGMENTS,
+        scenario.seed ^ 0xC4A0,
+        lookups_override.unwrap_or((drift.lookups / 4).max(10_000)),
+        |_| inconsistent_lookups += 1,
     );
-    let solver = solvers::by_name(&server.config().solver).expect("registered");
-    let request = server.config().request.clone();
-    let segment_len = trace.len().div_ceil(CHAOS_SEGMENTS);
-    let mut swap_checks = Vec::new();
-    for segment in trace.chunks(segment_len) {
-        for op in segment {
-            match *op {
-                TraceOp::Lookup { object, node } => {
-                    match server.lookup(object as u64, node) {
-                        Ok(_) => {}
-                        Err(ServerError::UnknownObject(_)) => parked_lookups += 1,
-                        Err(_) => inconsistent_lookups += 1,
-                    }
-                    lookups += 1;
-                }
-                TraceOp::Delta {
-                    object,
-                    node,
-                    read_delta,
-                    write_delta,
-                } => {
-                    server
-                        .apply(&Event::DemandDelta {
-                            object: object as u64,
-                            node,
-                            read_delta,
-                            write_delta,
-                        })
-                        .expect("trace deltas are valid");
-                }
-            }
-        }
-        server.wait_idle();
-        let epoch = server.resolve_now();
-        let snap = server.snapshot();
-        let (exported, _ids) = server.export_instance();
-        let scratch = solver.solve(&exported, &request);
-        swap_checks.push(SwapCheck {
-            epoch,
-            server_cost: snap.cost.total(),
-            scratch_cost: scratch.cost.total(),
-        });
-    }
+    lookups += replay.lookups;
+    parked_lookups += replay.parked_lookups;
 
     let final_health = server.health();
     let stats = server.stats();
     let final_epoch = server.epoch();
     server.shutdown();
-    let cost_matches_scratch = swap_checks
-        .iter()
-        .all(|c| (c.server_cost - c.scratch_cost).abs() <= 1e-9 * c.scratch_cost.abs().max(1.0));
     let recovery_budget_seconds = CHAOS_RECOVERY_BUDGET_FLOOR_SECONDS + 6.0 * watchdog_seconds;
     let recovered = healed
         && recovery_seconds <= recovery_budget_seconds
@@ -469,8 +404,8 @@ pub fn chaos_replay(scenario: &Scenario, lookups_override: Option<usize>) -> Cha
         inconsistent_lookups,
         resolves: stats.resolves,
         final_epoch,
-        swap_checks,
-        cost_matches_scratch,
+        swap_checks: replay.swap_checks,
+        cost_matches_scratch: replay.cost_matches_scratch,
     }
 }
 

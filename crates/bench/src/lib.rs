@@ -17,7 +17,6 @@
 pub mod chaos_replay;
 pub mod experiments;
 pub mod fuzz;
-pub mod perf_smoke;
 pub mod report;
 pub mod server_bench;
 pub mod timeline;

@@ -173,7 +173,8 @@ impl TimelineReport {
             && self.premium() <= MAX_WARM_PREMIUM
     }
 
-    /// Serializes the report (the `timeline` section of `BENCH_ci.json`).
+    /// Serializes the report (the document `experiments timeline` writes
+    /// to `TIMELINE_ci.json`).
     pub fn to_json(&self) -> Json {
         let series =
             |f: &dyn Fn(&SlotReport) -> Json| Json::Arr(self.slots.iter().map(f).collect());

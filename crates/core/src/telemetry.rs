@@ -31,7 +31,7 @@
 //! when `enabled()` — and [`Span::finish`] checks it before touching
 //! the ring. Counters and gauges are so cheap (one relaxed RMW) that
 //! call sites may record unconditionally; the flag gates everything
-//! that costs more than an atomic op. The perf-smoke `obs_ok` gate pins
+//! that costs more than an atomic op. The `obs_ok` timing floor pins
 //! the end-to-end consequence: telemetry-enabled sustained lookup
 //! throughput stays within 10 % of disabled.
 //!

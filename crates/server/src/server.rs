@@ -85,7 +85,7 @@ pub struct ServerConfig {
     /// registry's enabled flag untouched — it never disables telemetry
     /// another component turned on. Lookup latency is *sampled* (every
     /// [`LOOKUP_SAMPLE_INTERVAL`]th lookup), keeping the enabled
-    /// overhead within the perf-smoke `obs_ok` gate's 10 % budget.
+    /// overhead within the `obs_ok` timing floor's 10 % budget.
     pub telemetry: bool,
     /// Self-healing knobs (watchdog, retries, backpressure).
     pub resilience: ResilienceConfig,

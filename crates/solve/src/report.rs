@@ -229,8 +229,8 @@ impl SolveReport {
     /// The machine-readable rendering of the report: cost breakdown,
     /// per-phase timings, FL counters, and the capacity section when
     /// present. This is the one serialization every consumer
-    /// shares — the `perf-smoke` artifact (`BENCH_ci.json`), the `sweep`
-    /// binary, and the `dmn-server` status endpoint all emit it, so field
+    /// shares — the `sweep` binary and the `dmn-server` status
+    /// endpoint both emit it, so field
     /// names stay diffable across tools.
     pub fn to_json(&self) -> Json {
         let mut fields = vec![

@@ -33,7 +33,7 @@ fn main() {
     for (_, scenario) in &corpus {
         // The example dense-solves every column; the committed 10k-node
         // scenario is the sparse backend's territory (see README
-        // "Scaling" and the perf-smoke `scale` section).
+        // "Scaling" and perfbench's `solve-sparse-10k` workload).
         if scenario.nodes > 2_000 {
             println!(
                 "{:<28} {:>5}    - skipped (dense sweep; solve it with --metric sparse)",

@@ -10,12 +10,14 @@
 //! * the same oracle on the smoke scenario's truncating control, where
 //!   the sparse backend may cost at most [`MAX_SPARSE_RATIO`]× dense;
 //! * `dynamic_ok`: on a stationary stream every online strategy of the
-//!   zoo costs at least the informed `approx` oracle.
+//!   zoo costs at least the informed `approx` oracle, and a
+//!   `full-replication` oracle fails the same predicate.
 
 use dmn_bench::fuzz::{check_instance, MAX_SPARSE_RATIO};
-use dmn_bench::perf_smoke::smoke_scenario;
+use dmn_bench::server_bench::smoke_scenario;
 use dmn_dynamic::bridge::{compete_standard, StaticOracle};
 use dmn_dynamic::stream::{sample_stream, StreamConfig};
+use dmn_dynamic::CompetitiveReport;
 use dmn_solve::{solvers, MetricBackend, SolveRequest};
 use dmn_workloads::{Scenario, WorkloadParams};
 use rand::SeedableRng;
@@ -100,8 +102,9 @@ fn control_scenario_truncates_the_candidate_balls() {
     );
 }
 
-#[test]
-fn stationary_stream_favours_the_static_oracle() {
+/// Races the zoo against `oracle` on the smoke scenario's stationary
+/// stream of [`STREAM_LEN`] requests.
+fn race_on_stationary_stream(oracle: &StaticOracle) -> CompetitiveReport {
     let scenario = smoke_scenario();
     let instance = scenario.build_instance();
     let mut rng = ChaCha8Rng::seed_from_u64(scenario.seed ^ 0x0D1A_0CC5);
@@ -113,11 +116,32 @@ fn stationary_stream_favours_the_static_oracle() {
         },
         &mut rng,
     );
-    let report = compete_standard(&instance, &stream, &StaticOracle::approx(), stream.len())
-        .expect("approx oracle runs on any network");
-    assert_eq!(report.runs.len(), 5, "the full zoo raced");
+    compete_standard(&instance, &stream, oracle, stream.len()).expect("the oracle runs")
+}
+
+/// `dynamic_ok`: the full zoo raced, and every strategy costs at least
+/// the static oracle.
+fn dynamic_ok(report: &CompetitiveReport) -> bool {
+    report.runs.len() == 5 && report.runs.iter().all(|r| r.ratio >= DYNAMIC_RATIO_FLOOR)
+}
+
+#[test]
+fn stationary_stream_favours_the_static_oracle() {
+    let report = race_on_stationary_stream(&StaticOracle::approx());
     assert!(
-        report.runs.iter().all(|r| r.ratio >= DYNAMIC_RATIO_FLOOR),
+        dynamic_ok(&report),
         "an online strategy beat the informed static oracle on a stationary stream:\n{report}"
+    );
+}
+
+/// The gate can fail: an oracle that really is worse than `approx`, one
+/// copy on every node, loses to the online strategies on the same stream.
+#[test]
+fn full_replication_oracle_fails_dynamic_ok() {
+    let oracle = StaticOracle::with_engine("full-replication").expect("registered");
+    let report = race_on_stationary_stream(&oracle);
+    assert!(
+        !dynamic_ok(&report),
+        "every strategy cost at least a full-replication oracle:\n{report}"
     );
 }
