@@ -3,7 +3,7 @@
 use dmn_core::instance::{Instance, ObjectWorkload};
 use dmn_core::parallel::par_map_threads_with;
 use dmn_core::placement::Placement;
-use dmn_core::radii::RadiusTable;
+use dmn_core::radii::RadiusKernel;
 use dmn_core::telemetry;
 use dmn_facility::{FlInstance, FlWorkspace, LocalSearchConfig, NearestCopyOracle, SearchStats};
 use dmn_graph::{Graph, Metric, NodeId, TruncatedClosure};
@@ -45,9 +45,10 @@ pub struct PhaseTrace {
 /// Per-phase wall-clock seconds (and phase-1 work counters) of one
 /// per-object placement.
 ///
-/// The radius-table construction is attributed to phase 2 (it exists for
-/// the radius phases). A closure row a sparse source builds during a
-/// phase is not: it is metric time ([`PlaceOutcome::metric_seconds`]).
+/// Each phase's time includes the radii it reads: phase 2 the storage
+/// radii of every node, phase 3 the write radii of the copies it scans. A
+/// closure row a sparse source builds during a phase is not phase time:
+/// it is metric time ([`PlaceOutcome::metric_seconds`]).
 ///
 /// Since the telemetry layer landed, these fields are shims over the one
 /// span source: each phase is timed by a [`dmn_core::telemetry`] span
@@ -59,9 +60,9 @@ pub struct PhaseTrace {
 pub struct PhaseTimings {
     /// Phase 1: facility location on the related instance.
     pub facility: f64,
-    /// Phase 2: radius computation + radius-driven copy addition.
+    /// Phase 2: storage radii + radius-driven copy addition.
     pub radius_add: f64,
-    /// Phase 3: radius-driven pruning.
+    /// Phase 3: write radii at the copies + radius-driven pruning.
     pub radius_prune: f64,
     /// Phase-1 local-search moves accepted (0 for non-local-search
     /// backends).
@@ -296,6 +297,11 @@ pub(crate) fn usable_seed(
 /// backend that reads others), the radii read the clients' rows, the
 /// oracle and phase 3 the copies' rows. Each row is requested from `rows`
 /// before its first read.
+///
+/// The radii come from [`RadiusKernel`]'s prefix kernels, bit for bit the
+/// values of the full [`RadiusTable`](dmn_core::radii::RadiusTable):
+/// storage radii of every node for phase 2, and write radii of the
+/// phase-2 copies only, since phase 3 reads no other.
 pub(crate) fn run_phases(
     ws: &mut FlWorkspace,
     rows: &mut Rows<'_, '_>,
@@ -346,8 +352,10 @@ pub(crate) fn run_phases(
     rows.request(copies.iter().copied());
     let mut span = telemetry::span(telemetry::spans::SOLVE_RADIUS_ADD);
 
-    // Radii (Section 2.1) — fixed for phases 2 and 3.
-    let radii = RadiusTable::compute(rows.metric(), masses, w_total, storage_cost);
+    // Storage radii (Section 2.1) of every node for phase 2; phase 3
+    // computes the write radii of the copies it scans.
+    let mut radii = RadiusKernel::new(masses);
+    let (_, storage_radius) = radii.storage_radii(rows.metric(), storage_cost);
 
     // Phase 2: while a node is farther than 5·rs(v) from every copy, store
     // a copy at v. (Order does not matter for the guarantee; we scan
@@ -357,14 +365,13 @@ pub(crate) fn run_phases(
     oracle.reset(rows.metric(), &copies);
     loop {
         let mut added = false;
-        for v in 0..n {
+        for (v, &rs) in storage_radius.iter().enumerate() {
             // One search serves both the membership test and the
             // insertion point (copies is untouched in between).
             let pos = match copies.binary_search(&v) {
                 Ok(_) => continue,
                 Err(pos) => pos,
             };
-            let rs = radii.storage_radius[v];
             if !rs.is_finite() {
                 continue; // storage at v can never pay off
             }
@@ -394,24 +401,21 @@ pub(crate) fn run_phases(
     // ct(u, v) <= 4·rw(u).
     if w_total > 0.0 {
         let metric = rows.metric();
-        let mut order: Vec<NodeId> = copies.clone();
-        order.sort_by(|&a, &b| {
-            radii.write_radius[a]
-                .partial_cmp(&radii.write_radius[b])
+        let write_radius = radii.write_radii(metric, w_total, &copies);
+        let mut order: Vec<(f64, NodeId)> = write_radius.into_iter().zip(copies).collect();
+        order.sort_by(|a, b| {
+            a.0.partial_cmp(&b.0)
                 .expect("radii are not NaN")
-                .then(a.cmp(&b))
+                .then(a.1.cmp(&b.1))
         });
         let mut alive: Vec<bool> = vec![true; order.len()];
-        for (i, &v) in order.iter().enumerate() {
+        for (i, &(_, v)) in order.iter().enumerate() {
             if !alive[i] {
                 continue;
             }
-            for (k, &u) in order.iter().enumerate() {
-                if k != i && alive[k] {
-                    let ru = radii.write_radius[u];
-                    if metric.dist(u, v) <= WRITE_PRUNE_FACTOR * ru {
-                        alive[k] = false;
-                    }
+            for (k, &(ru, u)) in order.iter().enumerate() {
+                if k != i && alive[k] && metric.dist(u, v) <= WRITE_PRUNE_FACTOR * ru {
+                    alive[k] = false;
                 }
             }
         }
@@ -419,7 +423,7 @@ pub(crate) fn run_phases(
             .iter()
             .enumerate()
             .filter(|&(k, _)| alive[k])
-            .map(|(_, &v)| v)
+            .map(|(_, &(_, v))| v)
             .collect();
         copies.sort_unstable();
     }

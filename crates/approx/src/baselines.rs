@@ -10,7 +10,7 @@
 //! true objective (storage + read + MST-multicast update cost), so
 //! transmission costs are never silently ignored.
 
-use dmn_core::cost::{evaluate_object, UpdatePolicy};
+use dmn_core::cost::{evaluate_object, CostBreakdown, UpdatePolicy};
 use dmn_core::instance::{Instance, ObjectWorkload};
 use dmn_core::placement::Placement;
 use dmn_graph::{Metric, NodeId};
@@ -79,19 +79,54 @@ pub fn best_single_object(
     storage_cost: &[f64],
     workload: &ObjectWorkload,
 ) -> Vec<NodeId> {
-    // Each node is evaluated once; `min_by` keeps the first minimum.
-    let (best, _) = (0..metric.len())
+    vec![best_single_with_cost(metric, storage_cost, workload).0]
+}
+
+/// The 1-copy optimum of one object and its cost under
+/// [`UpdatePolicy::MstMulticast`]: the first allowed node of least total
+/// cost, with the [`evaluate_object`] breakdown of `[node]` bit for bit.
+///
+/// One row-major sweep over the clients in ascending order prices every
+/// node at once: client `u` adds `fr·d(u, v)` to `v`'s read cost and
+/// `fw·d(u, v)` to its write legs, in the order `evaluate_object` adds
+/// them for the copy set `[v]`. A single copy's MST weighs nothing.
+///
+/// # Panics
+/// Panics when no node may hold a copy.
+fn best_single_with_cost(
+    metric: &Metric,
+    storage_cost: &[f64],
+    workload: &ObjectWorkload,
+) -> (NodeId, CostBreakdown) {
+    let n = metric.len();
+    let (mut read, mut write_serve) = (vec![0.0; n], vec![0.0; n]);
+    for u in 0..workload.num_nodes() {
+        let (fr, fw) = (workload.reads[u], workload.writes[u]);
+        if fr == 0.0 && fw == 0.0 {
+            continue;
+        }
+        let row = metric.row(u);
+        for ((r, s), &d) in read.iter_mut().zip(&mut write_serve).zip(row) {
+            *r += fr * d;
+            *s += fw * d;
+        }
+    }
+    // `min_by` keeps the first minimum.
+    (0..n)
         .filter(|&v| storage_cost[v].is_finite())
         .map(|v| {
-            let policy = UpdatePolicy::MstMulticast;
-            (
-                v,
-                evaluate_object(metric, storage_cost, workload, &[v], policy).total(),
-            )
+            let mut cost = CostBreakdown::default();
+            cost.storage += storage_cost[v];
+            cost.read = read[v];
+            cost.write_serve = write_serve[v];
+            (v, cost)
         })
-        .min_by(|a, b| a.1.partial_cmp(&b.1).expect("costs are not NaN"))
-        .expect("at least one allowed node");
-    vec![best]
+        .min_by(|a, b| {
+            a.1.total()
+                .partial_cmp(&b.1.total())
+                .expect("costs are not NaN")
+        })
+        .expect("at least one allowed node")
 }
 
 /// Single-object kernel of [`random_k`].
@@ -213,6 +248,77 @@ mod tests {
         let p = best_single_node(&inst);
         // Node 2 minimizes total read distance on this line.
         assert_eq!(p.copies(0), &[2]);
+    }
+
+    #[test]
+    fn best_single_sweep_matches_the_per_node_evaluation_bitwise() {
+        for seed in 0..60u64 {
+            let mut r = ChaCha8Rng::seed_from_u64(seed);
+            let n = r.random_range(2..30);
+            // Unit weights and whole masses on every third seed, so that
+            // candidates tie and the first minimum must win.
+            let unit = seed % 3 == 0;
+            let weights = if unit { (1.0, 1.0) } else { (0.5, 7.0) };
+            let g = generators::gnp_connected(n, 0.2, weights, &mut r);
+            let mass = |r: &mut ChaCha8Rng| {
+                if unit {
+                    r.random_range(1..3u32) as f64
+                } else {
+                    r.random_range(0.1..3.0)
+                }
+            };
+            let m = dmn_graph::dijkstra::apsp(&g);
+            // Forbidden nodes, but never all of them.
+            let mut cs: Vec<f64> = (0..n)
+                .map(|_| {
+                    if r.random_bool(0.3) {
+                        f64::INFINITY
+                    } else if unit {
+                        1.0
+                    } else {
+                        r.random_range(0.0..5.0)
+                    }
+                })
+                .collect();
+            cs[r.random_range(0..n)] = 1.0;
+            // Nodes that only read, only write, both or neither; every
+            // other object has no writes at all.
+            let mut w = ObjectWorkload::new(n);
+            for v in 0..n {
+                match r.random_range(0..4u32) {
+                    0 => w.reads[v] = mass(&mut r),
+                    1 if seed % 2 == 0 => w.writes[v] = mass(&mut r),
+                    2 => {
+                        w.reads[v] = mass(&mut r);
+                        if seed % 2 == 0 {
+                            w.writes[v] = mass(&mut r);
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            w.reads[r.random_range(0..n)] += 1.0;
+            // The golden: one `evaluate_object` per allowed node.
+            let policy = UpdatePolicy::MstMulticast;
+            let want = (0..n)
+                .filter(|&v| cs[v].is_finite())
+                .map(|v| (v, evaluate_object(&m, &cs, &w, &[v], policy)))
+                .min_by(|a, b| a.1.total().partial_cmp(&b.1.total()).unwrap())
+                .unwrap();
+            let got = best_single_with_cost(&m, &cs, &w);
+            assert_eq!(got.0, want.0, "seed {seed}");
+            let bits = |c: &CostBreakdown| {
+                [c.storage, c.read, c.write_serve, c.multicast, c.total()].map(f64::to_bits)
+            };
+            assert_eq!(
+                bits(&got.1),
+                bits(&want.1),
+                "seed {seed}: {:?} vs {:?}",
+                got.1,
+                want.1
+            );
+            assert_eq!(best_single_object(&m, &cs, &w), vec![want.0]);
+        }
     }
 
     #[test]

@@ -28,7 +28,13 @@ use dmn_graph::{Metric, NodeId};
 /// not `v`'s own row. A sparse metric source then needs only the clients'
 /// rows, and both sources read the same entries, so they agree bit for
 /// bit even where a closure is symmetric only up to an ulp.
-#[derive(Debug, Clone)]
+///
+/// The full profile is the reference the radii are defined by: a stable
+/// sort of every client, by distance with ties in client order. The
+/// kernels behind [`RadiusTable`] ([`RadiusKernel`]) sort only a prefix
+/// of that order, and fall back to completing it into this profile where
+/// the prefix cannot decide.
+#[derive(Debug, Clone, Default)]
 pub struct DistanceProfile {
     /// (distance, request mass at that distance), sorted by distance.
     entries: Vec<(f64, f64)>,
@@ -43,38 +49,55 @@ impl DistanceProfile {
     /// (combined read + write frequency per node), from `d(u, v)` for
     /// every client `u` in ascending order.
     pub fn new(metric: &Metric, masses: &[f64], v: NodeId) -> Self {
-        DistanceProfile::from_entries(
-            masses
-                .iter()
-                .enumerate()
-                .filter(|&(_, &m)| m > 0.0)
-                .map(|(u, &m)| (metric.dist(u, v), m))
-                .collect(),
-        )
+        let mut entries: Vec<(f64, f64)> = masses
+            .iter()
+            .enumerate()
+            .filter(|&(_, &m)| m > 0.0)
+            .map(|(u, &m)| (metric.dist(u, v), m))
+            .collect();
+        entries.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("distances are not NaN"));
+        let mut profile = DistanceProfile::default();
+        for (d, m) in entries {
+            profile.push(d, m);
+        }
+        profile
     }
 
-    /// The profile of `(distance, mass)` pairs in ascending client order.
-    fn from_entries(mut entries: Vec<(f64, f64)>) -> Self {
-        entries.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("distances are not NaN"));
-        let mut cum_mass = Vec::with_capacity(entries.len());
-        let mut cum_cost = Vec::with_capacity(entries.len());
-        let (mut m_acc, mut c_acc) = (0.0, 0.0);
-        for &(d, m) in &entries {
-            m_acc += m;
-            c_acc += m * d;
-            cum_mass.push(m_acc);
-            cum_cost.push(c_acc);
+    /// Appends an entry no closer than the last one.
+    fn push(&mut self, d: f64, m: f64) {
+        let (m_acc, c_acc) = self.last_sums();
+        self.entries.push((d, m));
+        self.cum_mass.push(m_acc + m);
+        self.cum_cost.push(c_acc + m * d);
+    }
+
+    /// (mass, cost) of every entry so far.
+    fn last_sums(&self) -> (f64, f64) {
+        match (self.cum_mass.last(), self.cum_cost.last()) {
+            (Some(&m), Some(&c)) => (m, c),
+            _ => (0.0, 0.0),
         }
-        DistanceProfile {
-            entries,
-            cum_mass,
-            cum_cost,
-        }
+    }
+
+    fn clear(&mut self) {
+        self.entries.clear();
+        self.cum_mass.clear();
+        self.cum_cost.clear();
+    }
+
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// The distance of the first entry that brings the mass to `z`.
+    fn dist_covering(&self, z: f64) -> f64 {
+        let i = self.cum_mass.partition_point(|&m| m < z);
+        self.entries[i.min(self.len() - 1)].0
     }
 
     /// Total request mass in the profile.
     pub fn total_mass(&self) -> f64 {
-        self.cum_mass.last().copied().unwrap_or(0.0)
+        self.last_sums().0
     }
 
     /// `g(z)`: the summed distance of the `z` closest request units
@@ -127,37 +150,52 @@ impl DistanceProfile {
         if self.cum_dist(total) <= cs {
             return (f64::INFINITY, f64::INFINITY);
         }
-        // Smallest integer zs with g(zs) > cs. g is nondecreasing and
-        // piecewise linear; scan by binary search on integers.
-        let (mut lo, mut hi) = (0u64, total.ceil() as u64);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if self.cum_dist(mid as f64) > cs {
-                hi = mid;
-            } else {
-                lo = mid + 1;
-            }
-        }
-        let zs = lo as f64;
+        let zs = first_exceeding(total.ceil() as u64, |z| self.cum_dist(z) > cs);
+        (zs, self.storage_radius(zs, cs))
+    }
+
+    /// The storage radius for storage number `zs`, read from
+    /// `d(v, zs − 1)` and `d(v, min(zs, total))`.
+    fn storage_radius(&self, zs: f64, cs: f64) -> f64 {
         debug_assert!(zs >= 1.0);
         let d_lo = self.avg_dist(zs - 1.0);
-        let d_hi = self.avg_dist(zs.min(total)); // g(zs) may interpolate past the last request
+        let d_hi = self.avg_dist(zs.min(self.total_mass())); // g(zs) may interpolate past the last request
         let lo_bound = d_lo.max(cs / zs);
         let hi_bound = if zs > 1.0 {
             d_hi.min(cs / (zs - 1.0))
         } else {
             d_hi
         };
-        let rs = if hi_bound > lo_bound {
+        if hi_bound > lo_bound {
             0.5 * (lo_bound + hi_bound)
         } else {
             lo_bound
-        };
-        (zs, rs)
+        }
     }
 }
 
+/// The smallest integer `z` in `0..=hi` with `exceeds(z)`, by bisection
+/// (`hi` when none below it does). `g` is nondecreasing and piecewise
+/// linear, so this finds the storage number.
+fn first_exceeding(hi: u64, exceeds: impl Fn(f64) -> bool) -> f64 {
+    let (mut lo, mut hi) = (0u64, hi);
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        if exceeds(mid as f64) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo as f64
+}
+
 /// All radii of one object over the whole node set.
+///
+/// The placement pipeline calls [`RadiusKernel`] directly: phase 2 reads
+/// storage radii at every node, but phase 3 reads write radii only at the
+/// copies it scans. The table is for readers of every radius, such as
+/// the properness check.
 #[derive(Debug, Clone)]
 pub struct RadiusTable {
     /// Write radius `rw(v) = d(v, W)`.
@@ -168,9 +206,6 @@ pub struct RadiusTable {
     pub storage_number: Vec<f64>,
 }
 
-/// Nodes whose profile entries [`RadiusTable::compute`] gathers at once.
-const GATHER_BLOCK: usize = 16;
-
 impl RadiusTable {
     /// Computes write and storage radii for every node.
     ///
@@ -178,9 +213,8 @@ impl RadiusTable {
     /// * `total_writes` — the paper's `W`,
     /// * `storage_cost` — `cs` per node.
     ///
-    /// Reads only the clients' rows (see [`DistanceProfile`]). Each
-    /// client row is read 16 nodes at a time, so the gather stays
-    /// row-major instead of walking one column per node.
+    /// Both [`RadiusKernel`] sweeps over every node; each value is the
+    /// one the node's full [`DistanceProfile`] gives, bit for bit.
     pub fn compute(
         metric: &Metric,
         masses: &[f64],
@@ -189,40 +223,10 @@ impl RadiusTable {
     ) -> Self {
         let n = metric.len();
         assert_eq!(masses.len(), n);
-        assert_eq!(storage_cost.len(), n);
-        let clients: Vec<(NodeId, f64)> = masses
-            .iter()
-            .enumerate()
-            .filter(|&(_, &m)| m > 0.0)
-            .map(|(u, &m)| (u, m))
-            .collect();
-        let c = clients.len();
-        let mut write_radius = vec![0.0; n];
-        let mut storage_radius = vec![0.0; n];
-        let mut storage_number = vec![0.0; n];
-        // block[b * c + j] = d(clients[j], v0 + b).
-        let mut block = vec![0.0; GATHER_BLOCK * c];
-        for v0 in (0..n).step_by(GATHER_BLOCK) {
-            let width = GATHER_BLOCK.min(n - v0);
-            for (j, &(u, _)) in clients.iter().enumerate() {
-                for (b, &d) in metric.row(u)[v0..v0 + width].iter().enumerate() {
-                    block[b * c + j] = d;
-                }
-            }
-            for (b, v) in (v0..v0 + width).enumerate() {
-                let dists = &block[b * c..(b + 1) * c];
-                let entries = dists.iter().zip(&clients).map(|(&d, &(_, m))| (d, m));
-                let profile = DistanceProfile::from_entries(entries.collect());
-                write_radius[v] = if total_writes > 0.0 {
-                    profile.avg_dist(total_writes)
-                } else {
-                    0.0
-                };
-                let (zs, rs) = profile.storage_number_and_radius(storage_cost[v]);
-                storage_number[v] = zs;
-                storage_radius[v] = rs;
-            }
-        }
+        let mut kernel = RadiusKernel::new(masses);
+        let (storage_number, storage_radius) = kernel.storage_radii(metric, storage_cost);
+        let all: Vec<NodeId> = (0..n).collect();
+        let write_radius = kernel.write_radii(metric, total_writes, &all);
         RadiusTable {
             write_radius,
             storage_radius,
@@ -235,6 +239,308 @@ impl RadiusTable {
     pub fn max_radius(&self, v: NodeId) -> f64 {
         self.write_radius[v].max(self.storage_radius[v])
     }
+}
+
+/// Nodes whose profile entries a [`RadiusKernel`] sweep gathers at once.
+const GATHER_BLOCK: usize = 16;
+
+/// The per-node radius kernels of one object: each decision reads a
+/// sorted prefix of the node's [`DistanceProfile`], exactly as long as
+/// the decision needs, and gives the full profile's bits.
+///
+/// * **Prefix.** The entries with `d ≤ r` are a prefix of the profile's
+///   order (by distance, ties in client order), so their prefix sums are
+///   the profile's own. A sweep keeps them in client order and sorts them
+///   stably on `(d + 0.0).to_bits()`, which orders non-negative distances
+///   like the profile's `partial_cmp` (`−0.0` and `+0.0` tie). `r` starts
+///   at the distance the previous node's decision needed (at the smallest
+///   positive distance when that was 0) and doubles until the prefix
+///   decides; each doubling sorts only the entries it adds.
+/// * **Error band.** A profile sums its total mass `T` in its own order.
+///   The kernel knows only `T′`, the client-order sum, and
+///   `err = 2(c+1)·ε·T′` over `c` clients: any two summation orders of `c`
+///   non-negative terms differ by less than that.
+/// * **Storage number.** A prefix with cost above `cs` and mass below
+///   `T′ − err < T` decides: `g(z)` beyond its mass is at least its cost,
+///   so the profile's bisection, run once for each of `⌈T′ − err⌉` and
+///   `⌈T′ + err⌉` (one of which is `⌈T⌉`), gets the same answers from the
+///   prefix. The kernel takes `zs` when both runs agree and `zs` lies
+///   within the prefix mass, which makes `g(zs − 1)` and `g(zs)` exact too.
+/// * **Write radius.** A prefix with mass at least `W` gives `g(W)`.
+/// * **Fallback.** The kernel completes the prefix into the full profile
+///   (sorting only the entries it lacks) and asks that: when the first
+///   prefix costs no more than `cs` and neither does the client-order
+///   `Σm·d` beyond its own error band (storage cannot pay there, `cs = ∞`
+///   included, and doubling would reach every client), when
+///   `W ≥ T′ − err`, when the error band spans more than one integer or
+///   the two bisections disagree, and when the prefix reaches every
+///   client (no clients at all included). Such a node sorts no more than
+///   the full profile does.
+#[derive(Debug, Clone)]
+pub struct RadiusKernel {
+    clients: Clients,
+    /// `block[b * c + j] = d(clients[j], v)` for the `b`-th node of one
+    /// gathered block.
+    block: Vec<f64>,
+    prefix: Prefix,
+}
+
+/// One object's clients and the bounds on its total mass.
+#[derive(Debug, Clone)]
+struct Clients {
+    /// The nodes with request mass, ascending.
+    nodes: Vec<NodeId>,
+    /// Their masses, in the same order.
+    mass: Vec<f64>,
+    /// `T′ − err`: below the total mass in every summation order (−∞ when
+    /// `T′` is infinite).
+    mass_floor: f64,
+    /// The bisection brackets `⌈T′ − err⌉` and `⌈T′ + err⌉`; `None` when
+    /// `⌈T⌉` may lie strictly between them.
+    brackets: Option<(u64, u64)>,
+}
+
+impl RadiusKernel {
+    /// The kernel for one object's request `masses` (combined read +
+    /// write frequency per node).
+    pub fn new(masses: &[f64]) -> Self {
+        let nodes: Vec<NodeId> = (0..masses.len()).filter(|&u| masses[u] > 0.0).collect();
+        let mass: Vec<f64> = nodes.iter().map(|&u| masses[u]).collect();
+        let total: f64 = mass.iter().sum();
+        let err = 2.0 * (mass.len() + 1) as f64 * f64::EPSILON * total;
+        let (lo, hi) = ((total - err).ceil(), (total + err).ceil());
+        RadiusKernel {
+            block: vec![0.0; GATHER_BLOCK * nodes.len()],
+            clients: Clients {
+                nodes,
+                mass,
+                // An infinite total bounds nothing.
+                mass_floor: if err.is_finite() {
+                    total - err
+                } else {
+                    f64::NEG_INFINITY
+                },
+                brackets: (hi - lo <= 1.0).then_some((lo as u64, hi as u64)),
+            },
+            prefix: Prefix::default(),
+        }
+    }
+
+    /// Storage numbers `zs(v)` and storage radii `rs(v)` of every node for
+    /// storage costs `storage_cost`, as
+    /// [`DistanceProfile::storage_number_and_radius`] gives them.
+    pub fn storage_radii(&mut self, metric: &Metric, storage_cost: &[f64]) -> (Vec<f64>, Vec<f64>) {
+        let n = metric.len();
+        assert_eq!(storage_cost.len(), n);
+        let (mut numbers, mut radii) = (vec![0.0; n], vec![0.0; n]);
+        let mut reach = 0.0;
+        let all: Vec<NodeId> = (0..n).collect();
+        // Sweeping `0..n`, the `v`-th node is node `v`.
+        self.sweep(metric, &all, |clients, prefix, v, dists| {
+            (numbers[v], radii[v]) = prefix.storage(clients, dists, storage_cost[v], &mut reach);
+        });
+        (numbers, radii)
+    }
+
+    /// Write radii `rw(v) = d(v, W)` at `nodes`, in that order, as
+    /// [`DistanceProfile::avg_dist`] gives them (0 when `W = 0`).
+    pub fn write_radii(
+        &mut self,
+        metric: &Metric,
+        total_writes: f64,
+        nodes: &[NodeId],
+    ) -> Vec<f64> {
+        let mut radii = vec![0.0; nodes.len()];
+        if total_writes > 0.0 {
+            let mut reach = 0.0;
+            self.sweep(metric, nodes, |clients, prefix, b, dists| {
+                radii[b] = prefix.write(clients, dists, total_writes, &mut reach);
+            });
+        }
+        radii
+    }
+
+    /// Calls `decide(clients, prefix, b, dists)` for the `b`-th of `nodes`
+    /// in order, with `dists[j] = d(clients[j], nodes[b])`. Each client
+    /// row is read 16 nodes at a time, so the gather stays row-major
+    /// instead of walking one column per node.
+    fn sweep(
+        &mut self,
+        metric: &Metric,
+        nodes: &[NodeId],
+        mut decide: impl FnMut(&Clients, &mut Prefix, usize, &[f64]),
+    ) {
+        let RadiusKernel {
+            clients,
+            block,
+            prefix,
+        } = self;
+        let c = clients.nodes.len();
+        for (k, chunk) in nodes.chunks(GATHER_BLOCK).enumerate() {
+            for (j, &u) in clients.nodes.iter().enumerate() {
+                let row = metric.row(u);
+                for (b, &v) in chunk.iter().enumerate() {
+                    block[b * c + j] = row[v];
+                }
+            }
+            for b in 0..chunk.len() {
+                let dists = &block[b * c..(b + 1) * c];
+                decide(clients, prefix, k * GATHER_BLOCK + b, dists);
+            }
+        }
+    }
+}
+
+/// The sorted prefix of one node's profile that its decision has read.
+#[derive(Debug, Clone, Default)]
+struct Prefix {
+    profile: DistanceProfile,
+    /// Every entry with `d ≤ reach` is in `profile`, and no other.
+    reach: f64,
+    /// The sort keys and client indices of the entries one extension
+    /// adds.
+    fresh: Vec<(u64, usize)>,
+}
+
+impl Prefix {
+    /// The storage number and radius of the node whose client distances
+    /// are `dists`; `reach` carries the distance the decision needed on
+    /// to the next node.
+    fn storage(
+        &mut self,
+        clients: &Clients,
+        dists: &[f64],
+        cs: f64,
+        reach: &mut f64,
+    ) -> (f64, f64) {
+        self.restart();
+        match self.storage_from_prefix(clients, dists, cs, reach) {
+            Some(decided) => decided,
+            None => self.complete(clients, dists).storage_number_and_radius(cs),
+        }
+    }
+
+    /// [`Prefix::storage`] from the shortest prefix that decides; `None`
+    /// when only the full profile can.
+    fn storage_from_prefix(
+        &mut self,
+        clients: &Clients,
+        dists: &[f64],
+        cs: f64,
+        reach: &mut f64,
+    ) -> Option<(f64, f64)> {
+        let (lo, hi) = clients.brackets?;
+        let mut r = start_radius(dists, *reach);
+        let mut pays = false;
+        loop {
+            self.extend(clients, dists, r);
+            if self.profile.len() == dists.len() || r == f64::INFINITY {
+                return None;
+            }
+            let (mass, cost) = self.profile.last_sums();
+            if cost > cs {
+                if mass >= clients.mass_floor {
+                    return None;
+                }
+                let exceeds = |z: f64| z > mass || self.profile.cum_dist(z) > cs;
+                let zs = first_exceeding(lo, exceeds);
+                if hi != lo && first_exceeding(hi, exceeds) != zs {
+                    return None;
+                }
+                if zs <= mass {
+                    *reach = self.profile.dist_covering(zs);
+                    return Some((zs, self.profile.storage_radius(zs, cs)));
+                }
+            } else if !pays {
+                // Before the first doubling: where all requests together
+                // barely cost `cs`, doubling would reach every client.
+                let total: f64 = dists.iter().zip(&clients.mass).map(|(&d, &m)| m * d).sum();
+                let band = 2.0 * (dists.len() + 1) as f64 * f64::EPSILON;
+                pays = total * (1.0 - band) > cs;
+                if !pays {
+                    return None;
+                }
+            }
+            r *= 2.0;
+        }
+    }
+
+    /// The write radius `d(v, w)` of the node whose client distances are
+    /// `dists`, for `w > 0`; `reach` as in [`Prefix::storage`].
+    fn write(&mut self, clients: &Clients, dists: &[f64], w: f64, reach: &mut f64) -> f64 {
+        self.restart();
+        match self.write_from_prefix(clients, dists, w, reach) {
+            Some(decided) => decided,
+            None => self.complete(clients, dists).avg_dist(w),
+        }
+    }
+
+    /// [`Prefix::write`] from the shortest prefix with mass `w`; `None`
+    /// when only the full profile can decide.
+    fn write_from_prefix(
+        &mut self,
+        clients: &Clients,
+        dists: &[f64],
+        w: f64,
+        reach: &mut f64,
+    ) -> Option<f64> {
+        if w >= clients.mass_floor {
+            return None;
+        }
+        let mut r = start_radius(dists, *reach);
+        loop {
+            self.extend(clients, dists, r);
+            if self.profile.total_mass() >= w {
+                *reach = self.profile.dist_covering(w);
+                return Some(self.profile.avg_dist(w));
+            }
+            if self.profile.len() == dists.len() || r == f64::INFINITY {
+                return None;
+            }
+            r *= 2.0;
+        }
+    }
+
+    fn restart(&mut self) {
+        self.profile.clear();
+        self.reach = f64::NEG_INFINITY;
+    }
+
+    /// Adds every entry with `reach < d ≤ r`, sorted like the profile.
+    fn extend(&mut self, clients: &Clients, dists: &[f64], r: f64) {
+        let lo = self.reach;
+        self.fresh.clear();
+        for (j, &d) in dists.iter().enumerate() {
+            if d <= r && d > lo {
+                self.fresh.push(((d + 0.0).to_bits(), j));
+            }
+        }
+        self.fresh.sort_by_key(|&(key, _)| key);
+        for &(_, j) in &self.fresh {
+            self.profile.push(dists[j], clients.mass[j]);
+        }
+        self.reach = r;
+    }
+
+    /// The node's full profile: the prefix with every other entry added.
+    fn complete(&mut self, clients: &Clients, dists: &[f64]) -> &DistanceProfile {
+        self.extend(clients, dists, f64::INFINITY);
+        assert_eq!(self.profile.len(), dists.len(), "distances are not NaN");
+        &self.profile
+    }
+}
+
+/// The first prefix radius for a node: `reach` when positive, else the
+/// smallest positive distance (∞ when there is none).
+fn start_radius(dists: &[f64], reach: f64) -> f64 {
+    if reach > 0.0 {
+        return reach;
+    }
+    dists
+        .iter()
+        .copied()
+        .filter(|&d| d > 0.0)
+        .fold(f64::INFINITY, f64::min)
 }
 
 #[cfg(test)]
