@@ -21,8 +21,8 @@
 //! budget, and — once the schedule is drained — every settled snapshot
 //! must cost exactly what a from-scratch solve of the drifted instance
 //! costs. `experiments chaos` runs this on the pinned smoke scenario and
-//! CI's chaos job fails on [`ChaosOutcome::gate`] (`chaos_ok`); the unit
-//! tests below drive the gate both ways on a small scenario.
+//! CI's chaos job fails on [`ChaosOutcome::gate`] (`chaos_ok`);
+//! `tests/chaos.rs` drives the gate both ways on a small scenario.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -228,15 +228,16 @@ impl ChaosOutcome {
 /// scheduled flood reliably sheds. `lookups_override` shrinks the
 /// post-recovery replay for debug-mode tests.
 ///
+/// Nothing else may run in its process while it does: the plan is armed
+/// process-wide, and the process-wide panic hook is silenced during the
+/// storm, so another thread's solves would see the faults and its
+/// panics would go unreported.
+///
 /// # Panics
 /// Panics when the default engine cannot run on the scenario or the
 /// harness's own plumbing (sockets, threads) fails — never from an
 /// injected fault; absorbing those is the point.
 pub fn chaos_replay(scenario: &Scenario, lookups_override: Option<usize>) -> ChaosOutcome {
-    // The fault armory is process-global: serialize against every other
-    // test or bench that arms a plan.
-    let _serial = faults::exclusive();
-
     let instance = scenario.build_instance();
     let drift = scenario.drift_spec();
 
@@ -294,7 +295,7 @@ pub fn chaos_replay(scenario: &Scenario, lookups_override: Option<usize>) -> Cha
 
     // The scheduled panic is caught and counted by the worker; its
     // default-hook backtrace is pure noise in a gate's output. Silenced
-    // only for the storm (we hold the armory's exclusive gate, so no
+    // only for the storm (nothing else runs in this process, so no
     // other thread's panics can be swallowed by accident).
     let quiet_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
@@ -454,91 +455,4 @@ fn malformed_burst(server: &ServerHandle) -> std::io::Result<(u64, u64, bool)> {
         .expect("acceptor thread joins")
         .expect("serve returns cleanly");
     Ok((sent, rejected, wire_recovered))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use dmn_workloads::{DriftSpec, TopologyKind, WorkloadParams};
-
-    fn chaos_scenario() -> Scenario {
-        Scenario {
-            name: "chaos-mini".into(),
-            topology: TopologyKind::Ring,
-            nodes: 16,
-            storage_cost: 3.0,
-            workload: WorkloadParams {
-                num_objects: 4,
-                base_mass: 60.0,
-                ..Default::default()
-            },
-            seed: 11,
-            capacities: None,
-            stream: None,
-            drift: Some(DriftSpec {
-                lookups: 4_000,
-                drift_events: 8,
-                drift_mass: 3.0,
-                resolve_threshold: 0.02,
-            }),
-            faults: None,
-            timeline: None,
-        }
-    }
-
-    #[test]
-    fn chaos_replay_fires_every_class_and_heals() {
-        let outcome = chaos_replay(&chaos_scenario(), Some(4_000));
-        assert!(outcome.solver_panics >= 1, "{outcome:?}");
-        assert!(outcome.stalled_resolves >= 1, "{outcome:?}");
-        assert!(outcome.event_floods >= 1, "{outcome:?}");
-        assert!(outcome.wire_faults >= 1, "{outcome:?}");
-        assert!(outcome.resolve_failures >= 2, "{outcome:?}");
-        assert!(outcome.watchdog_timeouts >= 1, "{outcome:?}");
-        assert!(outcome.shed_deltas > 0, "{outcome:?}");
-        assert_eq!(outcome.malformed_rejected, outcome.malformed_lines);
-        assert!(outcome.wire_recovered, "{outcome:?}");
-        assert!(outcome.recovered, "{outcome:?}");
-        assert_eq!(outcome.inconsistent_lookups, 0, "{outcome:?}");
-        assert!(outcome.cost_matches_scratch, "{:?}", outcome.swap_checks);
-        assert!(outcome.gate(), "{outcome:?}");
-
-        let json = outcome.to_json().to_string_pretty();
-        for needle in [
-            "\"solver_panics\"",
-            "\"stalled_resolves\"",
-            "\"event_floods\"",
-            "\"wire_faults\"",
-            "\"watchdog_timeouts\"",
-            "\"shed_deltas\"",
-            "\"malformed_rejected\"",
-            "\"recovery_seconds\"",
-            "\"recovered\"",
-            "\"inconsistent_lookups\"",
-            "\"cost_matches_scratch\"",
-            "\"swaps\"",
-        ] {
-            assert!(json.contains(needle), "missing {needle}");
-        }
-        dmn_json::parse(&json).expect("valid artifact section");
-    }
-
-    #[test]
-    fn scenario_pinned_plan_overrides_the_default() {
-        // A plan with a single benign transient: the gate must fail
-        // (whole classes never fired) but the replay itself still heals.
-        let mut scenario = chaos_scenario();
-        scenario.faults = Some(FaultPlan::new(
-            3,
-            vec![FaultSpec::once(
-                faults::points::EVENT_APPLY,
-                FaultAction::TransientError,
-            )],
-        ));
-        let outcome = chaos_replay(&scenario, Some(2_000));
-        assert_eq!(outcome.solver_panics, 0, "{outcome:?}");
-        assert_eq!(outcome.watchdog_timeouts, 0, "{outcome:?}");
-        assert!(!outcome.gate(), "a benign plan must not pass the gate");
-        assert!(outcome.cost_matches_scratch, "{:?}", outcome.swap_checks);
-    }
 }

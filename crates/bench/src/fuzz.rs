@@ -635,9 +635,6 @@ mod tests {
     fn fuzz_smoke_is_clean() {
         // A bounded in-test sweep: every invariant over a few dozen seeded
         // cases. CI runs the full `experiments fuzz --cases 200` on top.
-        // Hold the fault gate throughout: a concurrently armed chaos plan
-        // must not inject into (or be used up by) these solves.
-        let _gate = dmn_core::faults::exclusive();
         let outcome = run_fuzz(&FuzzConfig {
             cases: 25,
             seed: 0xD1FF,

@@ -17,9 +17,10 @@
 //! time, so a replay under the same plan fires the same faults at the
 //! same operations every run.
 //!
-//! The plan is process-global (one server under test per process);
-//! tests that arm faults must serialize through [`exclusive`] because
-//! `cargo test` runs tests on concurrent threads.
+//! The plan is process-global: one armed plan per process. A test that
+//! arms one runs in a test binary where no other test arms a plan or
+//! reaches an injection point, so no other test can use up or be
+//! injected by its faults.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -226,7 +227,6 @@ struct ActiveFault {
 struct Armory {
     armed: AtomicBool,
     plan: Mutex<Vec<ActiveFault>>,
-    test_gate: Mutex<()>,
 }
 
 fn armory() -> &'static Armory {
@@ -234,7 +234,6 @@ fn armory() -> &'static Armory {
     ARMORY.get_or_init(|| Armory {
         armed: AtomicBool::new(false),
         plan: Mutex::new(Vec::new()),
-        test_gate: Mutex::new(()),
     })
 }
 
@@ -244,11 +243,6 @@ fn heal<'a, T>(
     // An injected panic while a guard is live poisons the mutex by
     // design; the protected state is still consistent (counters only).
     r.unwrap_or_else(|e| e.into_inner())
-}
-
-/// Serialize tests (and benches) that arm the process-global plan.
-pub fn exclusive() -> MutexGuard<'static, ()> {
-    heal(armory().test_gate.lock())
 }
 
 /// Disarms the plan (and resets all counters) when dropped.
@@ -279,27 +273,10 @@ pub fn arm(plan: &FaultPlan) -> FaultGuard {
 }
 
 /// Disarm and clear the active plan.
-pub fn disarm() {
+fn disarm() {
     let a = armory();
     a.armed.store(false, Ordering::SeqCst);
     heal(a.plan.lock()).clear();
-}
-
-/// True when a non-empty plan is armed.
-pub fn is_armed() -> bool {
-    armory().armed.load(Ordering::Relaxed)
-}
-
-/// How many times faults at `point` have fired under the current plan.
-pub fn fired(point: &str) -> u64 {
-    if !is_armed() {
-        return 0;
-    }
-    heal(armory().plan.lock())
-        .iter()
-        .filter(|f| f.spec.point == point)
-        .map(|f| f.fired)
-        .sum()
 }
 
 /// Declare an injection point. Disarmed: one relaxed atomic load.
@@ -359,17 +336,37 @@ fn hit_slow(point: &str) -> Option<Injected> {
 mod tests {
     use super::*;
 
+    fn is_armed() -> bool {
+        armory().armed.load(Ordering::Relaxed)
+    }
+
+    /// How many times faults at `point` have fired under the current plan.
+    fn fired(point: &str) -> u64 {
+        heal(armory().plan.lock())
+            .iter()
+            .filter(|f| f.spec.point == point)
+            .map(|f| f.fired)
+            .sum()
+    }
+
+    /// The armory is process-global, so the cases that arm it run one
+    /// after another in this one test; no other test in this binary arms
+    /// a plan or hits a point.
     #[test]
+    fn armory_cases_run_in_sequence() {
+        disarmed_hit_is_a_noop();
+        after_and_times_gate_firing_deterministically();
+        panic_action_panics_with_point_name();
+        guard_drop_disarms();
+    }
+
     fn disarmed_hit_is_a_noop() {
-        let _gate = exclusive();
         disarm();
         assert_eq!(hit(points::SOLVE_PHASE1), None);
         assert!(!is_armed());
     }
 
-    #[test]
     fn after_and_times_gate_firing_deterministically() {
-        let _gate = exclusive();
         let plan = FaultPlan::new(
             7,
             vec![FaultSpec {
@@ -387,9 +384,7 @@ mod tests {
         assert_eq!(hit(points::TCP_READ), None);
     }
 
-    #[test]
     fn panic_action_panics_with_point_name() {
-        let _gate = exclusive();
         let plan = FaultPlan::new(
             0,
             vec![FaultSpec::once(points::SERVER_RESOLVE, FaultAction::Panic)],
@@ -403,9 +398,7 @@ mod tests {
         assert_eq!(hit(points::SERVER_RESOLVE), None);
     }
 
-    #[test]
     fn guard_drop_disarms() {
-        let _gate = exclusive();
         let plan = FaultPlan::new(
             0,
             vec![FaultSpec::once(

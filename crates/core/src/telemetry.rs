@@ -35,11 +35,10 @@
 //! the end-to-end consequence: telemetry-enabled sustained lookup
 //! throughput stays within 10 % of disabled.
 //!
-//! The enabled flag is process-global (like the fault armory), so tests
-//! and benches that toggle it or assert on registry contents must
-//! serialize through [`exclusive`]. When a test needs both gates, take
-//! [`crate::faults::exclusive`] **first**, then [`exclusive`] — chaos
-//! harnesses hold them in that order.
+//! The enabled flag, the histograms and the span ring are process-global
+//! (like the fault armory). A test that toggles the flag or asserts on
+//! a registry histogram or the ring runs in a test binary where no other
+//! test flips the flag or records into them.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
@@ -266,9 +265,9 @@ impl Histogram {
         }
     }
 
-    /// Zeroes the histogram. Meant for benchmark/test isolation (fresh
-    /// per-run quantiles); hold [`exclusive`] so concurrent recorders
-    /// aren't half-counted across the reset.
+    /// Zeroes the histogram, so a benchmark run reads quantiles of its
+    /// own records only. Records made concurrently with the reset may be
+    /// half-counted.
     pub fn reset(&self) {
         self.count.store(0, Ordering::Relaxed);
         self.sum_bits.store(0f64.to_bits(), Ordering::Relaxed);
@@ -482,7 +481,6 @@ struct Registry {
     histograms: Mutex<BTreeMap<String, &'static Histogram>>,
     spans: Mutex<VecDeque<SpanRecord>>,
     epoch: Instant,
-    test_gate: Mutex<()>,
 }
 
 fn registry() -> &'static Registry {
@@ -494,7 +492,6 @@ fn registry() -> &'static Registry {
         histograms: Mutex::new(BTreeMap::new()),
         spans: Mutex::new(VecDeque::new()),
         epoch: Instant::now(),
-        test_gate: Mutex::new(()),
     })
 }
 
@@ -504,13 +501,6 @@ fn heal<'a, T>(
     // Registry state is counters and plain records; a panic while a
     // guard was live leaves it consistent.
     r.unwrap_or_else(|e| e.into_inner())
-}
-
-/// Serialize tests (and benches) that toggle the process-global enabled
-/// flag or assert on registry contents. Lock order with the fault
-/// armory: [`crate::faults::exclusive`] first, then this.
-pub fn exclusive() -> MutexGuard<'static, ()> {
-    heal(registry().test_gate.lock())
 }
 
 /// True when telemetry recording is enabled. One relaxed atomic load —
@@ -569,24 +559,6 @@ pub fn fault_fired_total(point: &str) -> &'static Counter {
         "{}{{point=\"{point}\"}}",
         names::FAULTS_FIRED_TOTAL
     ))
-}
-
-/// Zeroes every counter, gauge, and histogram and clears the span ring.
-/// Interned handles stay valid. For benches and tests (under
-/// [`exclusive`]); production readers should diff counter values
-/// instead.
-pub fn reset() {
-    let r = registry();
-    for c in heal(r.counters.lock()).values() {
-        c.0.store(0, Ordering::Relaxed);
-    }
-    for g in heal(r.gauges.lock()).values() {
-        g.0.store(0, Ordering::Relaxed);
-    }
-    for h in heal(r.histograms.lock()).values() {
-        h.reset();
-    }
-    heal(r.spans.lock()).clear();
 }
 
 /// A copy of the span ring, oldest first.
@@ -875,33 +847,40 @@ mod tests {
         assert!(snap.min > 0.0 && snap.max <= 1e-8 * (1.0 + 1e6));
     }
 
+    /// The enabled flag and the span ring are process-global, so the
+    /// cases that flip the flag or read the registry run one after
+    /// another in this one test. No other test in this binary flips the
+    /// flag, records a span or uses these names.
     #[test]
-    fn registry_interns_and_resets_counters_gauges_histograms() {
-        let _gate = exclusive();
+    fn registry_cases_run_in_sequence() {
+        registry_interns_counters_gauges_histograms();
+        spans_record_only_when_enabled_but_always_time();
+        span_ring_is_bounded_and_drops_oldest();
+        exposition_covers_counters_gauges_and_histogram_summaries();
+    }
+
+    fn registry_interns_counters_gauges_histograms() {
         let c = counter("test_registry_counter_total");
         let c2 = counter("test_registry_counter_total");
         assert!(std::ptr::eq(c, c2), "same name, same cell");
         c.inc();
         c.add(4);
+        assert_eq!(c.get(), 5);
         let g = gauge("test_registry_gauge");
         g.set(7);
         g.add(-2);
         assert_eq!(g.get(), 5);
         let h = histogram("test_registry_hist_seconds");
+        assert!(std::ptr::eq(h, histogram("test_registry_hist_seconds")));
         h.record(0.5);
-        let before = c.get();
-        assert!(before >= 5);
-        reset();
-        assert_eq!(c.get(), 0);
-        assert_eq!(g.get(), 0);
+        assert_eq!(h.snapshot().count, 1);
+        h.reset();
         assert_eq!(h.snapshot().count, 0);
     }
 
-    #[test]
+    /// Runs on the empty ring of a fresh process.
     fn spans_record_only_when_enabled_but_always_time() {
-        let _gate = exclusive();
         set_enabled(false);
-        reset();
         let s = span("test.span.disabled");
         std::thread::sleep(std::time::Duration::from_millis(2));
         let secs = s.finish();
@@ -920,26 +899,23 @@ mod tests {
         assert_eq!(jsonl.lines().count(), 1);
         dmn_json::parse(jsonl.lines().next().unwrap()).expect("JSONL lines parse");
         set_enabled(false);
-        reset();
     }
 
-    #[test]
     fn span_ring_is_bounded_and_drops_oldest() {
-        let _gate = exclusive();
         set_enabled(true);
-        reset();
         for _ in 0..SPAN_RING_CAPACITY + 10 {
             span("test.span.flood").finish();
         }
-        assert_eq!(spans_snapshot().len(), SPAN_RING_CAPACITY);
+        let ring = spans_snapshot();
+        assert_eq!(ring.len(), SPAN_RING_CAPACITY);
+        assert!(
+            ring.iter().all(|r| r.name == "test.span.flood"),
+            "the oldest records were dropped"
+        );
         set_enabled(false);
-        reset();
     }
 
-    #[test]
     fn exposition_covers_counters_gauges_and_histogram_summaries() {
-        let _gate = exclusive();
-        reset();
         counter("test_expo_requests_total").add(3);
         fault_fired_total("test.point").add(2);
         gauge("test_expo_depth").set(11);
@@ -988,6 +964,5 @@ mod tests {
         assert!(hist.get("p99").unwrap().as_f64().unwrap() > 0.0);
         // The whole snapshot stays valid JSON end to end.
         dmn_json::parse(&snap.to_string_pretty()).expect("snapshot round-trips");
-        reset();
     }
 }

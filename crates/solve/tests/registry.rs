@@ -318,3 +318,23 @@ fn solves_are_deterministic_per_request() {
         assert_eq!(a.cost.total(), b.cost.total(), "{name}");
     }
 }
+
+/// A baseline engine whose one phase builds the lazy dense metric
+/// reports that build once, as `metric-build`: the phases of a cold
+/// `best-single` solve sum to at most its wall clock.
+#[test]
+fn cold_best_single_counts_the_metric_build_once() {
+    let instance = scenario(TopologyKind::Grid { rows: 30, cols: 30 }, 900, 23).build_instance();
+    assert_eq!(instance.metric_build_seconds(), 0.0, "the metric is lazy");
+    let report = solvers::by_name("best-single")
+        .expect("registered")
+        .solve(&instance, &SolveRequest::new());
+    assert!(report.metric_build_seconds() > 0.0, "{:?}", report.phases);
+    let phases: f64 = report.phases.iter().map(|p| p.seconds).sum();
+    assert!(
+        phases <= report.wall_seconds,
+        "phases sum to {phases} s, past the {} s wall: {:?}",
+        report.wall_seconds,
+        report.phases
+    );
+}
