@@ -1,30 +1,18 @@
-//! Min-cost-flow benchmarks at the assignment-graph sizes the capacitated
-//! engine produces (matching the facility bench's 50/200/800 scaling).
+//! Min-cost-flow benchmark at the sizes the capacitated engine produces
+//! (matching the facility bench's 50/200/800 scaling).
 //!
-//! Two kernels dominate the capacitated pipeline:
-//!
-//! * the client→copy *transportation* solve (`assign_object`): one source,
-//!   `n` clients, a handful of copies with tight service budgets — the
-//!   repricing primitive of the load-capacitated model;
-//! * the cross-object *slot circulation* (`single_copy_flow_placement`):
-//!   objects against per-node copy capacities with a lower bound of one
-//!   copy each — the capacitated engine's flow seed.
-//!
-//! The raw successive-shortest-path engine is benched through both, so a
-//! regression in `dmn_graph::flow` shows up at exactly the sizes the
-//! solver pipeline cares about.
+//! The cross-object *slot circulation* (`single_copy_flow_placement`) —
+//! objects against per-node copy capacities with a lower bound of one
+//! copy each — is the capacitated engine's flow seed. It runs the raw
+//! successive-shortest-path engine, so a regression in `dmn_graph::flow`
+//! shows up at exactly the sizes the solver pipeline cares about.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dmn_capacitated::{assign_object, single_copy_flow_placement};
+use dmn_capacitated::single_copy_flow_placement;
 use dmn_core::instance::{Instance, ObjectWorkload};
-use dmn_graph::dijkstra::apsp;
 use dmn_graph::generators;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-
-/// Copies per transportation instance (the capacitated engine's open sets
-/// stay small — replication degrees in the single digits).
-const COPIES: usize = 8;
 
 fn bench_flow(c: &mut Criterion) {
     // The full scaling sweep needs optimized code; the debug-mode smoke
@@ -35,35 +23,6 @@ fn bench_flow(c: &mut Criterion) {
     } else {
         &[50, 200, 800]
     };
-
-    let mut group = c.benchmark_group("assignment_flow");
-    group.sample_size(10);
-    for &n in sizes {
-        let mut r = ChaCha8Rng::seed_from_u64(15);
-        let radius = (16.0 / n as f64).sqrt().min(0.3);
-        let g = generators::random_geometric(n, radius, 10.0, &mut r);
-        let metric = apsp(&g);
-        let mut w = ObjectWorkload::new(n);
-        for v in 0..n {
-            w.reads[v] = r.random_range(0.0..3.0);
-        }
-        let copies: Vec<usize> = (0..COPIES).map(|i| i * n / COPIES).collect();
-        // Tight budgets: ~1.2x the fair share per copy node, so the flow
-        // has to divert real mass instead of collapsing to nearest-copy.
-        let total = w.total_requests();
-        let mut load_cap = vec![0.0; n];
-        for &u in &copies {
-            load_cap[u] = 1.2 * total / COPIES as f64;
-        }
-        group.bench_with_input(
-            BenchmarkId::new("assign_object", n),
-            &(&metric, &w, &copies, &load_cap),
-            |b, &(metric, w, copies, load_cap)| {
-                b.iter(|| assign_object(metric, w, copies, load_cap).expect("feasible"))
-            },
-        );
-    }
-    group.finish();
 
     let mut group = c.benchmark_group("flow_seed");
     group.sample_size(10);

@@ -8,16 +8,13 @@
 //! cargo run --release -p dmn-bench --bin experiments -- --solver list
 //! cargo run --release -p dmn-bench --bin experiments -- --solver capacitated \
 //!     --capacities uniform:2
-//! cargo run --release -p dmn-bench --bin experiments -- --cap-engine greedy-local \
-//!     --capacities uniform:1
 //! ```
 //!
 //! Reports print to stdout and are persisted as JSON under `results/`.
 //! With `--solver <name>` any solver registered in `dmn-solve` is run on a
 //! standard scenario suite (`--fl` picks the phase-1 backend,
 //! `--capacities uniform:<k>` caps every node at `k` copies so any
-//! experiment runs capacitated end-to-end, `--cap-engine INNER` is
-//! shorthand for the native `cap:INNER` engine) and its `SolveReport`s
+//! experiment runs capacitated end-to-end) and its `SolveReport`s
 //! (placements, cost breakdowns, per-phase timings) are printed.
 
 use dmn_approx::FlSolverKind;
@@ -29,19 +26,18 @@ fn usage() -> ! {
     eprintln!(
         "usage: experiments <e1..e16 | all>...\n       experiments --solver <name | list> \
          [--nodes N] [--objects K] [--seed S] [--fl KIND] \
-         [--metric dense|sparse] [--capacities uniform:<k>] [--cap-engine INNER]\n       \
+         [--metric dense|sparse] [--capacities uniform:<k>]\n       \
          experiments chaos [--out PATH]\n       \
          experiments metrics [--out PATH]\n       \
          experiments timeline [--scenario PATH] [--engine NAME] [--out PATH]\n       \
          experiments fuzz [--cases N] [--seed S] [--regress DIR] [--out PATH]\n\n\
-         --capacities uniform:<k> caps every node at k copies (any solver; non-native\n\
-         engines go through the greedy repair); --cap-engine INNER runs the native\n\
-         capacitated engine over INNER (shorthand for --solver cap:INNER);\n\
+         --capacities uniform:<k> caps every node at k copies (any solver; engines\n\
+         other than capacitated go through the greedy repair);\n\
          --metric sparse solves over per-object truncated closures instead of the\n\
          dense O(n^2) APSP table (the 10k-node path); timeline exits 1 unless the\n\
          warm chain adds fewer copies and phase-1 moves than cold within the pinned\n\
-         cost premium. Only engines that consume warm seeds (approx and the engines\n\
-         built on it) can pass; others solve both chains alike and read false, and\n\
+         cost premium. Only engines that consume warm seeds (approx and capacitated)\n\
+         can pass; others solve both chains alike and read false, and\n\
          so do local-search-ref chains, whose reference loop reports 0 phase-1 moves."
     );
     std::process::exit(2);
@@ -336,7 +332,6 @@ fn run_solver_bench(args: &[String]) {
     let mut fl = FlSolverKind::default();
     let mut metric = MetricBackend::default();
     let mut cap_per_node: Option<usize> = None;
-    let mut cap_engine: Option<String> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         let mut value = |what: &str| -> String {
@@ -376,19 +371,11 @@ fn run_solver_bench(args: &[String]) {
                 };
                 cap_per_node = Some(k);
             }
-            "--cap-engine" => cap_engine = Some(value("--cap-engine")),
             other if name.is_none() => name = Some(other.to_string()),
             _ => usage(),
         }
     }
-    // --cap-engine INNER is shorthand for --solver cap:INNER.
-    let name = match cap_engine {
-        Some(inner) => format!("cap:{inner}"),
-        None => match name {
-            Some(name) => name,
-            None => usage(),
-        },
-    };
+    let Some(name) = name else { usage() };
 
     if name == "list" {
         println!("{:<18} description", "name");

@@ -117,20 +117,10 @@ fn main() {
         ("generated_by", Json::Str("sweep".into())),
         (
             "registry",
-            Json::obj([
-                (
-                    "names",
-                    Json::arr(solvers::names().iter().map(|n| Json::Str(n.to_string()))),
-                ),
-                (
-                    "base_names",
-                    Json::arr(
-                        solvers::base_names()
-                            .iter()
-                            .map(|n| Json::Str(n.to_string())),
-                    ),
-                ),
-            ]),
+            Json::obj([(
+                "names",
+                Json::arr(solvers::names().iter().map(|n| Json::Str(n.to_string()))),
+            )]),
         ),
         ("scenarios", Json::Arr(scenario_docs)),
     ]);

@@ -547,10 +547,6 @@ pub fn minimize(scenario: &Scenario) -> Scenario {
 /// Violations are minimized; when `regress_dir` is set, each minimized
 /// scenario is written there as `<kind>_case<idx>.json`.
 pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzOutcome {
-    // Engine panics are expected to be *caught*; silence the default
-    // hook's stderr spew while the fuzzer probes for them.
-    let hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
     let mut violations = Vec::new();
     for case in 0..cfg.cases {
         let scenario = case_scenario(cfg.seed, case);
@@ -569,7 +565,6 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzOutcome {
             });
         }
     }
-    std::panic::set_hook(hook);
 
     if let Some(dir) = &cfg.regress_dir {
         let _ = std::fs::create_dir_all(dir);
@@ -595,14 +590,11 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzOutcome {
 pub fn replay_regressions(dir: &Path) -> Result<Vec<(String, String, String)>, String> {
     let corpus = Scenario::load_corpus(dir)?;
     let mut failing = Vec::new();
-    let hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
     for (file, scenario) in corpus {
         if let Some((kind, detail)) = check_scenario(&scenario) {
             failing.push((file, kind, detail));
         }
     }
-    std::panic::set_hook(hook);
     Ok(failing)
 }
 

@@ -256,7 +256,7 @@ fn fl_moves(report: &SolveReport) -> usize {
 
 /// Runs the full timeline: cold chain, warm chain, and the dynamic zoo.
 ///
-/// `engine` is any registry spelling (`approx`, `tree-dp`, `cap:approx`,
+/// `engine` is any registry spelling (`approx`, `tree-dp`, `capacitated`,
 /// `greedy-local`, ...); `req` carries the solve options both chains
 /// share (the warm chain adds its per-slot seed on top; engines that
 /// cannot consume a warm seed solve cold on both chains, so the chains

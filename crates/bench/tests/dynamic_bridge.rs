@@ -7,6 +7,7 @@
 use std::path::PathBuf;
 
 use dmn_dynamic::sim::{simulate, static_cost_on_stream};
+use dmn_dynamic::strategy::FixedStrategy;
 use dmn_dynamic::stream::{empirical_workloads, sample_stream, StreamConfig};
 use dmn_dynamic::StaticOracle;
 use dmn_solve::{solvers, SolveRequest};
@@ -71,14 +72,14 @@ fn every_registry_engine_simulates_on_the_corpus() {
             let placement = oracle
                 .place_on(&instance, &emp)
                 .unwrap_or_else(|e| panic!("{name} on {}: {e}", scenario.name));
-            // `simulate` with the oracle as the (no-op) strategy.
-            let mut as_strategy = StaticOracle::with_engine(name).expect("registered");
+            // `simulate` with the oracle placement held fixed.
+            let mut fixed = FixedStrategy;
             let cost = simulate(
                 instance.metric(),
                 &instance.storage_cost,
                 &placement,
                 &stream,
-                &mut as_strategy,
+                &mut fixed,
             );
             let reference = static_cost_on_stream(
                 instance.metric(),

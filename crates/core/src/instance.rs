@@ -1,6 +1,7 @@
 //! Problem instances: a network plus per-object read/write frequencies.
 
 use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 
 use dmn_graph::dijkstra::apsp;
 use dmn_graph::{Graph, Metric, NodeId};
@@ -169,10 +170,10 @@ pub struct Instance {
     /// The shared objects with their request frequencies.
     pub objects: Vec<ObjectWorkload>,
     metric: OnceLock<Arc<Metric>>,
-    /// Wall-clock seconds this instance spent building its dense closure
-    /// (0 when the metric was injected, inherited from a parent view, or
-    /// never forced).
-    metric_seconds: OnceLock<f64>,
+    /// When this instance started building its dense closure, and the
+    /// wall-clock seconds the build took (unset when the metric was
+    /// injected, inherited from a parent view, or never forced).
+    metric_build: OnceLock<(Instant, f64)>,
 }
 
 impl Instance {
@@ -228,9 +229,11 @@ impl Instance {
     pub fn metric(&self) -> &Metric {
         self.metric
             .get_or_init(|| {
-                let clock = std::time::Instant::now();
+                let clock = Instant::now();
                 let m = Arc::new(apsp(&self.graph));
-                let _ = self.metric_seconds.set(clock.elapsed().as_secs_f64());
+                let _ = self
+                    .metric_build
+                    .set((clock, clock.elapsed().as_secs_f64()));
                 m
             })
             .as_ref()
@@ -238,9 +241,19 @@ impl Instance {
 
     /// Seconds spent building the dense metric closure of *this* instance
     /// (0.0 when it was never built here — injected, shared, or still
-    /// lazy). Reports surface this as the `metric-build` phase.
+    /// lazy).
     pub fn metric_build_seconds(&self) -> f64 {
-        self.metric_seconds.get().copied().unwrap_or(0.0)
+        self.metric_build.get().map_or(0.0, |&(_, seconds)| seconds)
+    }
+
+    /// [`Instance::metric_build_seconds`] when the build started at or
+    /// after `since`, else 0.0: the build a solve that started at `since`
+    /// paid for. Reports surface this as the `metric-build` phase.
+    pub fn metric_build_seconds_since(&self, since: Instant) -> f64 {
+        match self.metric_build.get() {
+            Some(&(start, seconds)) if start >= since => seconds,
+            _ => 0.0,
+        }
     }
 
     /// Overrides the cached metric (used when a cheaper construction is
@@ -276,7 +289,7 @@ impl Instance {
             storage_cost: self.storage_cost.clone(),
             objects,
             metric,
-            metric_seconds: OnceLock::new(),
+            metric_build: OnceLock::new(),
         }
     }
 }
@@ -340,7 +353,7 @@ impl InstanceBuilder {
             storage_cost: cs,
             objects: Vec::new(),
             metric: OnceLock::new(),
-            metric_seconds: OnceLock::new(),
+            metric_build: OnceLock::new(),
         })
     }
 }

@@ -14,19 +14,18 @@
 //! competitive ratios.
 
 use dmn_core::instance::{Instance, ObjectWorkload};
-use dmn_graph::{Graph, Metric, NodeId};
+use dmn_graph::NodeId;
 use dmn_solve::{solvers, SolveRequest, Solver, Unsupported};
 
 use crate::report::{CompetitiveReport, StrategyRun};
 use crate::sim::{simulate_segmented, DynamicCost};
-use crate::strategy::{DynamicStrategy, Reconfiguration};
+use crate::strategy::DynamicStrategy;
 use crate::stream::{empirical_workloads, Request};
 
 /// The offline reference: a registry solver fed the stream's empirical
-/// frequencies up front. As a [`DynamicStrategy`] it never reconfigures
-/// (its placement is computed before the run); as a [`Solver`] it
-/// delegates to the wrapped engine, so it drops into any registry-style
-/// pipeline.
+/// frequencies up front. Its placement is computed before the run and
+/// never reconfigures, so [`compete`] simulates it as a
+/// [`FixedStrategy`](crate::strategy::FixedStrategy).
 pub struct StaticOracle {
     engine: Box<dyn Solver>,
     request: SolveRequest,
@@ -40,7 +39,7 @@ impl StaticOracle {
     }
 
     /// An oracle over any registry engine name (every spelling
-    /// [`solvers::by_name`] accepts, including `cap:<inner>`); `None` for
+    /// [`solvers::by_name`] accepts, e.g. `capacitated`); `None` for
     /// unknown names.
     pub fn with_engine(name: &str) -> Option<Self> {
         Some(StaticOracle {
@@ -114,41 +113,6 @@ impl StaticOracle {
         }
         Ok(out)
     }
-
-    /// [`StaticOracle::place_on`] for callers that only hold a metric: the
-    /// instance is synthesized as the complete graph over the metric (whose
-    /// shortest paths are the metric itself, injected exactly, so
-    /// metric-driven engines behave identically to [`place_on`](Self::place_on)).
-    ///
-    /// # Errors
-    /// [`Unsupported`] when the wrapped engine cannot run on the synthetic
-    /// network (e.g. `tree-dp`, which needs a tree).
-    pub fn place_metric(
-        &self,
-        metric: &Metric,
-        storage_cost: &[f64],
-        workloads: &[ObjectWorkload],
-    ) -> Result<Vec<Vec<NodeId>>, Unsupported> {
-        let n = metric.len();
-        let edges = (0..n).flat_map(|u| (u + 1..n).map(move |v| (u, v, metric.dist(u, v))));
-        let base = Instance::builder(Graph::from_edges(n, edges))
-            .storage_costs(storage_cost.to_vec())
-            .build()
-            .with_metric(metric.clone());
-        self.place_on(&base, workloads)
-    }
-
-    /// Back-compat spelling of the oracle placement: the default `approx`
-    /// oracle on a metric (the pre-bridge `StaticOracle::place` surface).
-    pub fn place(
-        metric: &Metric,
-        storage_cost: &[f64],
-        workloads: &[ObjectWorkload],
-    ) -> Vec<Vec<NodeId>> {
-        StaticOracle::approx()
-            .place_metric(metric, storage_cost, workloads)
-            .expect("approx runs on any network")
-    }
 }
 
 impl std::fmt::Debug for StaticOracle {
@@ -156,42 +120,6 @@ impl std::fmt::Debug for StaticOracle {
         f.debug_struct("StaticOracle")
             .field("engine", &self.engine.name())
             .finish_non_exhaustive()
-    }
-}
-
-impl DynamicStrategy for StaticOracle {
-    fn on_request(&mut self, _: &Request, _: &[NodeId], _: &Metric) -> Reconfiguration {
-        Reconfiguration::default()
-    }
-
-    fn name(&self) -> &'static str {
-        "static-oracle"
-    }
-}
-
-/// The oracle is also a [`Solver`]: on a static [`Instance`] it delegates
-/// to the wrapped engine under the oracle's own [`SolveRequest`], so
-/// dynamic-vs-static comparisons flow through the same registry-style
-/// pipeline as every other engine (the report is relabelled
-/// `static-oracle` to mark the offline-reference role).
-impl Solver for StaticOracle {
-    fn name(&self) -> &'static str {
-        "static-oracle"
-    }
-
-    fn description(&self) -> &'static str {
-        "offline oracle: any registry engine fed full-knowledge frequencies \
-         (reference for empirical competitive ratios)"
-    }
-
-    fn supports(&self, instance: &Instance) -> Result<(), Unsupported> {
-        self.engine.supports(instance)
-    }
-
-    fn solve(&self, instance: &Instance, req: &SolveRequest) -> dmn_solve::SolveReport {
-        let mut report = self.engine.solve(instance, req);
-        report.solver = "static-oracle";
-        report
     }
 }
 
@@ -316,18 +244,6 @@ mod tests {
     }
 
     #[test]
-    fn static_oracle_solver_delegates_and_relabels() {
-        let mut inst = base_instance();
-        inst.push_object(demo_workload(9));
-        let oracle = StaticOracle::approx();
-        let report = Solver::solve(&oracle, &inst, &SolveRequest::new());
-        let direct = dmn_approx::place_all(&inst, &dmn_approx::ApproxConfig::default());
-        assert_eq!(report.placement, direct);
-        assert_eq!(report.solver, "static-oracle");
-        assert!(report.cost.total() > 0.0);
-    }
-
-    #[test]
     fn unknown_engine_is_rejected() {
         assert!(StaticOracle::with_engine("no-such-engine").is_none());
         assert_eq!(
@@ -349,18 +265,6 @@ mod tests {
         assert_eq!(placed.len(), 2);
         assert_eq!(placed[0].len(), 1, "parked single copy");
         assert!(!placed[1].is_empty());
-    }
-
-    #[test]
-    fn place_metric_matches_place_on() {
-        let base = base_instance();
-        let w = demo_workload(9);
-        let oracle = StaticOracle::approx();
-        let on = oracle.place_on(&base, std::slice::from_ref(&w)).unwrap();
-        let via_metric = oracle
-            .place_metric(base.metric(), &base.storage_cost, &[w])
-            .unwrap();
-        assert_eq!(on, via_metric);
     }
 
     #[test]
@@ -407,9 +311,9 @@ mod tests {
             assert!(run.cost.total().is_finite());
             assert_eq!(run.phase_costs.len(), 1);
         }
-        // The oracle raced against itself is exactly 1.0.
+        // The oracle's placement raced against itself is exactly 1.0.
         let mut oracle_again: Vec<Box<dyn DynamicStrategy>> =
-            vec![Box::new(StaticOracle::approx())];
+            vec![Box::new(crate::strategy::FixedStrategy)];
         let self_report = compete(
             &base,
             &stream,

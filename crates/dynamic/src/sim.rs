@@ -226,7 +226,8 @@ pub fn stream_workloads(stream: &[Request], num_objects: usize, n: usize) -> Vec
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strategy::{CountingStrategy, FixedStrategy, StaticOracle};
+    use crate::bridge::StaticOracle;
+    use crate::strategy::{CountingStrategy, FixedStrategy};
     use crate::stream::{sample_stream, StreamConfig};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -325,7 +326,11 @@ mod tests {
             &mut rng,
         );
         let emp = stream_workloads(&stream, 1, 4);
-        let oracle = StaticOracle::place(&m, &cs, &emp);
+        let path = dmn_graph::generators::path(4, |_| 1.0);
+        let base = dmn_core::instance::Instance::builder(path)
+            .storage_costs(cs.clone())
+            .build();
+        let oracle = StaticOracle::approx().place_on(&base, &emp).unwrap();
         let oracle_cost = static_cost_on_stream(&m, &cs, &oracle, &stream);
         let mut counting = CountingStrategy::new(1, 4, 3.0);
         let dynamic = simulate(&m, &cs, &[vec![0]], &stream, &mut counting);

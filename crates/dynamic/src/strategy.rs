@@ -111,8 +111,6 @@ impl DynamicStrategy for CountingStrategy {
     }
 }
 
-pub use crate::bridge::StaticOracle;
-
 /// Rent-to-buy (ski-rental) replication.
 ///
 /// The classic rent-or-buy argument applied per (object, node): a node

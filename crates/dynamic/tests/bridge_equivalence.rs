@@ -1,9 +1,9 @@
 //! Cross-registry equivalence of the oracle bridge.
 //!
 //! The golden values below were captured from the *pre-bridge* hardwired
-//! oracle path (`StaticOracle::place` calling `dmn_approx::place_object`
-//! directly, grid 4x5, three deterministic objects, ChaCha8 seed 1234,
-//! 1500 requests) before `StaticOracle` was rebuilt around the solver
+//! oracle path (`dmn_approx::place_object` called directly per object,
+//! grid 4x5, three deterministic objects, ChaCha8 seed 1234, 1500
+//! requests) before `StaticOracle` was rebuilt around the solver
 //! registry. The bridge with engine `approx` must stay placement- and
 //! cost-identical to them, and to that path itself, kept below as the
 //! private golden `place_hardwired`.
@@ -87,6 +87,13 @@ fn golden_input() -> (
     (g, cs, workloads, stream)
 }
 
+/// The golden grid as the oracle's base instance.
+fn golden_base(g: &dmn_graph::Graph, cs: &[f64]) -> Instance {
+    Instance::builder(g.clone())
+        .storage_costs(cs.to_vec())
+        .build()
+}
+
 #[test]
 fn bridge_with_approx_reproduces_the_pre_refactor_goldens() {
     let (g, cs, _, stream) = golden_input();
@@ -95,7 +102,7 @@ fn bridge_with_approx_reproduces_the_pre_refactor_goldens() {
 
     let bridged = StaticOracle::with_engine("approx")
         .unwrap()
-        .place_metric(&metric, &cs, &emp)
+        .place_on(&golden_base(&g, &cs), &emp)
         .unwrap();
     let golden: Vec<Vec<usize>> = GOLDEN_PLACEMENT.iter().map(|s| s.to_vec()).collect();
     assert_eq!(
@@ -126,28 +133,24 @@ fn bridge_is_identical_to_the_hardwired_path() {
     let hardwired = place_hardwired(&metric, &cs, &emp);
     let bridged = StaticOracle::with_engine("approx")
         .unwrap()
-        .place_metric(&metric, &cs, &emp)
+        .place_on(&golden_base(&g, &cs), &emp)
         .unwrap();
     assert_eq!(bridged, hardwired, "bridge != hardwired placement");
 
     let hc = static_cost_on_stream(&metric, &cs, &hardwired, &stream);
     let bc = static_cost_on_stream(&metric, &cs, &bridged, &stream);
     assert_eq!(hc, bc, "bridge != hardwired cost");
-
-    // The back-compat `place` spelling routes through the bridge and
-    // agrees too.
-    assert_eq!(StaticOracle::place(&metric, &cs, &emp), hardwired);
 }
 
+/// A caller that already holds the metric injects it into the base
+/// instance; the oracle then places exactly as on the lazy instance.
 #[test]
 fn bridge_through_an_instance_matches_the_metric_path() {
     let (g, cs, _, stream) = golden_input();
     let emp = empirical_workloads(&stream, 3, 20);
-    let base = Instance::builder(g.clone())
-        .storage_costs(cs.clone())
-        .build();
     let oracle = StaticOracle::approx();
-    let on = oracle.place_on(&base, &emp).unwrap();
-    let via_metric = oracle.place_metric(&apsp(&g), &cs, &emp).unwrap();
+    let on = oracle.place_on(&golden_base(&g, &cs), &emp).unwrap();
+    let with_metric = golden_base(&g, &cs).with_metric(apsp(&g));
+    let via_metric = oracle.place_on(&with_metric, &emp).unwrap();
     assert_eq!(on, via_metric);
 }

@@ -5,21 +5,26 @@
 //! the cost decomposition adds up, a fixed strategy is exactly the static
 //! cost of its placement, and the oracle raced against itself is 1.0.
 
-use dmn_core::instance::ObjectWorkload;
+use dmn_core::instance::{Instance, ObjectWorkload};
 use dmn_dynamic::sim::{simulate, simulate_segmented, static_cost_on_stream, DynamicCost};
 use dmn_dynamic::strategy::{standard_zoo, FixedStrategy};
 use dmn_dynamic::stream::{empirical_workloads, sample_stream, Request, RequestKind, StreamConfig};
 use dmn_dynamic::StaticOracle;
 use dmn_graph::dijkstra::apsp;
 use dmn_graph::generators;
-use dmn_graph::Metric;
+use dmn_graph::{Graph, Metric};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 fn setup(seed: u64, n: usize, objects: usize) -> (Metric, Vec<f64>, Vec<ObjectWorkload>) {
+    let (g, cs, workloads) = setup_graph(seed, n, objects);
+    (apsp(&g), cs, workloads)
+}
+
+/// [`setup`]'s gnp graph itself, for callers that need an instance.
+fn setup_graph(seed: u64, n: usize, objects: usize) -> (Graph, Vec<f64>, Vec<ObjectWorkload>) {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let g = generators::gnp_connected(n, 0.4, (1.0, 6.0), &mut rng);
-    let metric = apsp(&g);
     let cs: Vec<f64> = (0..n).map(|_| rng.random_range(1..=5) as f64).collect();
     let mut workloads = Vec::new();
     for _ in 0..objects {
@@ -37,7 +42,7 @@ fn setup(seed: u64, n: usize, objects: usize) -> (Metric, Vec<f64>, Vec<ObjectWo
         }
         workloads.push(w);
     }
-    (metric, cs, workloads)
+    (g, cs, workloads)
 }
 
 fn stationary(workloads: &[ObjectWorkload], length: usize, seed: u64) -> Vec<Request> {
@@ -109,15 +114,16 @@ fn fixed_strategy_matches_static_cost_on_stream() {
 /// The oracle's empirical competitive ratio against itself is exactly 1.
 #[test]
 fn oracle_self_ratio_is_one() {
-    let (metric, cs, workloads) = setup(17, 12, 2);
+    let (g, cs, workloads) = setup_graph(17, 12, 2);
+    let base = Instance::builder(g).storage_costs(cs.clone()).build();
+    let metric = base.metric();
     let stream = stationary(&workloads, 500, 5);
     let emp = empirical_workloads(&stream, 2, 12);
-    let oracle = StaticOracle::approx();
-    let placement = oracle.place_metric(&metric, &cs, &emp).unwrap();
-    let reference = static_cost_on_stream(&metric, &cs, &placement, &stream);
-    // Racing the oracle placement (a no-op strategy) against itself.
-    let mut as_strategy = StaticOracle::approx();
-    let cost = simulate(&metric, &cs, &placement, &stream, &mut as_strategy);
+    let placement = StaticOracle::approx().place_on(&base, &emp).unwrap();
+    let reference = static_cost_on_stream(metric, &cs, &placement, &stream);
+    // Racing the oracle placement (a fixed strategy) against itself.
+    let mut fixed = FixedStrategy;
+    let cost = simulate(metric, &cs, &placement, &stream, &mut fixed);
     assert_eq!(cost, reference);
     assert_eq!(cost.total() / reference.total(), 1.0);
 }

@@ -244,8 +244,8 @@ impl HealthCells {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServerError {
     /// The configured solver name is not in the registry. Carries the
-    /// spec parser's explanation, which names the exact bad segment
-    /// (`cap:aprox` → `unknown solver "aprox" ...`).
+    /// registry's explanation, which names the bad spelling
+    /// (`aprox` → `unknown solver "aprox"`).
     UnknownSolver(String),
     /// The configured solver cannot run on the instance.
     Unsupported(String),

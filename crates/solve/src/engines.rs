@@ -49,13 +49,11 @@ fn fallback_copy_set(storage_cost: &[f64], w: &ObjectWorkload) -> Vec<usize> {
     vec![v]
 }
 
-/// Seconds since `started`, less the dense APSP build the instance
-/// gained since it read `metric_before` from
-/// [`Instance::metric_build_seconds`]: [`SolveReport::build`] reports
-/// that build as its own `metric-build` phase.
-fn seconds_less_metric_build(instance: &Instance, started: Instant, metric_before: f64) -> f64 {
-    let built = (instance.metric_build_seconds() - metric_before).max(0.0);
-    started.elapsed().as_secs_f64() - built
+/// Seconds since `started`, less the dense APSP build that ran since
+/// then ([`Instance::metric_build_seconds_since`]): [`SolveReport::build`]
+/// reports that build as its own `metric-build` phase.
+fn seconds_less_metric_build(instance: &Instance, started: Instant) -> f64 {
+    started.elapsed().as_secs_f64() - instance.metric_build_seconds_since(started)
 }
 
 /// The paper's three-phase constant-factor approximation (Section 2).
@@ -232,12 +230,11 @@ macro_rules! baseline_solver {
 
             fn solve(&self, instance: &Instance, req: &SolveRequest) -> SolveReport {
                 let started = Instant::now();
-                let metric_before = instance.metric_build_seconds();
                 #[allow(clippy::redundant_closure_call)]
                 let placement: Placement = ($solve)(instance, req);
                 let phases = vec![PhaseStat::new(
                     "placement",
-                    seconds_less_metric_build(instance, started, metric_before),
+                    seconds_less_metric_build(instance, started),
                     format!("{} copies", placement.total_copies()),
                 )];
                 SolveReport::build(
@@ -369,7 +366,6 @@ macro_rules! exact_solver {
             fn solve(&self, instance: &Instance, req: &SolveRequest) -> SolveReport {
                 let started = Instant::now();
                 self.supports(instance).expect("solver applicability");
-                let metric_before = instance.metric_build_seconds();
                 let metric = instance.metric();
                 let solutions = par_map_threads(&instance.objects, req.max_threads, |w| {
                     $f(metric, &instance.storage_cost, w)
@@ -378,7 +374,7 @@ macro_rules! exact_solver {
                 let sets = solutions.into_iter().map(|s| s.copies).collect();
                 let phases = vec![PhaseStat::new(
                     "enumeration",
-                    seconds_less_metric_build(instance, started, metric_before),
+                    seconds_less_metric_build(instance, started),
                     format!("{} objects", instance.num_objects()),
                 )];
                 let meta = vec![("native-cost", format!("{native}"))];

@@ -46,7 +46,6 @@ pub mod engines;
 pub mod registry;
 pub mod report;
 pub mod request;
-pub mod spec;
 
 pub use capacitated::CapacitatedSolver;
 pub use dmn_approx::FlSolverKind;
@@ -56,8 +55,7 @@ pub use engines::{
 };
 pub use registry::solvers;
 pub use report::{CapacityStats, PhaseStat, SolveReport};
-pub use request::{CapOpts, FlOpts, MetricBackend, MetricOpts, RobustOpts, SolveRequest};
-pub use spec::SolverSpec;
+pub use request::{FlOpts, MetricBackend, MetricOpts, RobustOpts, SolveRequest};
 
 use dmn_core::instance::Instance;
 

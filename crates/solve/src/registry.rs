@@ -4,12 +4,12 @@
 pub mod solvers {
     use crate::capacitated::CapacitatedSolver;
     use crate::engines::*;
-    use crate::spec::SolverSpec;
-    use crate::{Solver, Unsupported};
+    use crate::{unsupported, Solver, Unsupported};
 
-    /// Every *base* (non-meta) engine, in presentation order: the
-    /// paper's algorithms first, then ground truth, then baselines.
-    pub(crate) fn base_all() -> Vec<Box<dyn Solver>> {
+    /// Every registered solver, in presentation order: the paper's
+    /// algorithms first, then ground truth, then baselines; the
+    /// capacitated engine over the paper's algorithm closes the list.
+    pub fn all() -> Vec<Box<dyn Solver>> {
         vec![
             Box::new(ApproxSolver),
             Box::new(TreeDpSolver),
@@ -20,47 +20,27 @@ pub mod solvers {
             Box::new(BestSingleSolver),
             Box::new(RandomKSolver),
             Box::new(FullReplicationSolver),
+            Box::new(CapacitatedSolver),
         ]
     }
 
-    /// Registry names of the base (non-meta) engines — the valid `<inner>`
-    /// spellings for the `cap:<inner>` meta-engine prefix. Tools enumerating composable solver names (the `sweep`
-    /// binary, the dynamic oracle bridge) advertise these.
-    pub fn base_names() -> Vec<&'static str> {
-        base_all().iter().map(|s| s.name()).collect()
-    }
-
-    /// Every registered solver, in presentation order; the meta-engine
-    /// over the paper's algorithm (`capacitated`) closes the list.
-    pub fn all() -> Vec<Box<dyn Solver>> {
-        let mut engines = base_all();
-        engines.push(Box::new(CapacitatedSolver::approx()));
-        engines
-    }
-
-    /// A base engine by its canonical registry name (no aliases, no meta
-    /// prefixes) — the leaf lookup of [`SolverSpec::instantiate`].
-    pub(crate) fn base_by_name(name: &str) -> Option<Box<dyn Solver>> {
-        base_all().into_iter().find(|s| s.name() == name)
-    }
-
-    /// Resolves a solver spec to an engine, or explains why it cannot.
-    ///
-    /// The accepted grammar is [`SolverSpec`]'s: any base registry name
-    /// (plus the `krw` alias for the paper's algorithm), and `cap:<base>` /
-    /// `capacitated` for the native capacitated engine. Canonical
-    /// spellings collapse (`cap:approx` → `capacitated`).
+    /// Resolves a solver name to an engine, or explains why it cannot.
+    /// Accepts every registry name (see [`names`]) plus the `krw` alias
+    /// for the paper's algorithm.
     ///
     /// # Errors
-    /// [`Unsupported`] naming the exact offending segment (unknown engine
-    /// name, or an illegal nesting such as `cap:cap:...`).
+    /// [`Unsupported`] naming the unknown spelling.
     pub fn resolve(name: &str) -> Result<Box<dyn Solver>, Unsupported> {
-        SolverSpec::parse(name).map(|spec| spec.instantiate())
+        let canonical = if name == "krw" { "approx" } else { name };
+        all()
+            .into_iter()
+            .find(|s| s.name() == canonical)
+            .ok_or_else(|| unsupported(format!("unknown solver \"{name}\"")))
     }
 
-    /// Looks a solver up by its registry name (see [`names`] and the
-    /// grammar on [`resolve`]). `None` when the spec does not parse;
-    /// callers that want the reason use [`resolve`].
+    /// Looks a solver up by its registry name (see [`names`]; `krw` is an
+    /// alias of `approx`). `None` for unknown names; callers that want the
+    /// reason use [`resolve`].
     pub fn by_name(name: &str) -> Option<Box<dyn Solver>> {
         resolve(name).ok()
     }
@@ -110,15 +90,14 @@ mod tests {
 
     #[test]
     fn resolve_reports_the_bad_segment() {
-        let e = solvers::resolve("cap:no-such").err().expect("rejected");
-        assert!(e.reason.contains("no-such"), "{e}");
-        assert!(e.reason.contains("cap:no-such"), "{e}");
-        let e = solvers::resolve("cap:cap:approx").err().expect("rejected");
-        assert!(e.reason.contains("base engines only"), "{e}");
         assert_eq!(
-            solvers::resolve("cap:approx").unwrap().name(),
+            solvers::resolve("capacitated").unwrap().name(),
             "capacitated"
         );
+        for spelling in ["cap:approx", "cap:greedy-local"] {
+            let e = solvers::resolve(spelling).err().expect("rejected");
+            assert!(e.reason.contains(spelling), "{e}");
+        }
     }
 
     #[test]

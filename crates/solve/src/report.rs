@@ -65,13 +65,6 @@ pub struct CapacityStats {
     pub candidates: usize,
     /// Local-search passes over the object set.
     pub rounds: usize,
-    /// Optimal client→copy assignment cost under the requested
-    /// service-load budgets (`SolveRequest::load_capacities`), when set
-    /// and feasible.
-    pub assignment_cost: Option<f64>,
-    /// Whether the service-load budgets admit a feasible assignment
-    /// (`None` when no budgets were requested).
-    pub load_feasible: Option<bool>,
 }
 
 /// The result of one [`Solver::solve`](crate::Solver::solve) call.
@@ -128,7 +121,7 @@ impl SolveReport {
         mut meta: Vec<(&'static str, String)>,
         started: std::time::Instant,
     ) -> SolveReport {
-        let placement = match &req.cap.capacities {
+        let placement = match &req.capacities {
             None => placement,
             Some(cap) => {
                 let clock = std::time::Instant::now();
@@ -150,7 +143,7 @@ impl SolveReport {
         // capacity repair above already forced the closure. Objects are
         // evaluated on the solve's worker cap and summed in object order.
         let sparse_eval = req.wants_sparse_metric()
-            && req.cap.capacities.is_none()
+            && req.capacities.is_none()
             && req.policy != UpdatePolicy::ExactSteiner;
         let cost = if sparse_eval {
             evaluate_sparse_threads(instance, &placement, req.policy, req.max_threads)
@@ -159,14 +152,15 @@ impl SolveReport {
         };
         // Every report surfaces the closure-build phase: engines on the
         // sparse path push their own `metric-build` entry (truncated rows);
-        // everyone else gets the instance's dense APSP build time (0 when
-        // the closure was injected or inherited rather than built here).
+        // everyone else gets the dense APSP build time this solve paid for
+        // (0 when the closure was injected, inherited, or built before
+        // `started`).
         if !phases.iter().any(|p| p.name == "metric-build") {
             phases.insert(
                 0,
                 PhaseStat::new(
                     "metric-build",
-                    instance.metric_build_seconds(),
+                    instance.metric_build_seconds_since(started),
                     "dense APSP closure (cached on the instance)",
                 ),
             );
@@ -351,17 +345,13 @@ impl fmt::Display for SolveReport {
             writeln!(
                 f,
                 "  capacitated: final {:.2} vs greedy repair {:.2} ({:+.1}% margin) | \
-                 {} moves / {} candidates / {} rounds{}",
+                 {} moves / {} candidates / {} rounds",
                 c.final_cost,
                 c.repair_cost,
                 c.margin_vs_repair * 100.0,
                 c.moves,
                 c.candidates,
                 c.rounds,
-                match c.assignment_cost {
-                    Some(a) => format!(" | load-capped assignment {a:.2}"),
-                    None => String::new(),
-                }
             )?;
         }
         for (k, v) in &self.meta {

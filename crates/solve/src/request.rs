@@ -23,23 +23,6 @@ pub struct FlOpts {
     pub warm_placement: Option<Vec<Vec<usize>>>,
 }
 
-/// Capacity-model knobs (per-node copy caps and service-load budgets).
-/// Grouped under [`SolveRequest::cap`].
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct CapOpts {
-    /// Per-node copy capacities; when set, every engine's placement is
-    /// post-processed with the greedy capacity repair (the `capacitated` /
-    /// `cap:<inner>` engines instead optimize under the constraint
-    /// natively and only pass the repair as a no-op feasibility check).
-    pub capacities: Option<Vec<usize>>,
-    /// Per-node *service-load* budgets (max request mass served by the
-    /// copies on a node). When set, the capacitated engines run the
-    /// cross-object global assignment flow on their final placement and
-    /// report the optimal capacity-respecting client→copy assignment
-    /// cost (reads stay nearest-copy in the headline `CostBreakdown`).
-    pub load_capacities: Option<Vec<f64>>,
-}
-
 /// Which distance closure backs a solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MetricBackend {
@@ -121,10 +104,10 @@ impl RobustOpts {
 /// understands and ignores the rest (the approximation algorithm reads
 /// `fl`, `random-k` reads `seed` and `replication_degree`, the capacity
 /// repair applies to all). Options cluster into typed groups —
-/// [`FlOpts`] (`fl`), [`CapOpts`] (`cap`), [`MetricOpts`] (`metric`),
-/// [`RobustOpts`] (`robust`) — with a handful of engine-agnostic fields
-/// kept flat. Construct with [`SolveRequest::new`] and chain the builder
-/// methods:
+/// [`FlOpts`] (`fl`), [`MetricOpts`] (`metric`), [`RobustOpts`]
+/// (`robust`) — with the engine-agnostic fields, per-node copy
+/// `capacities` among them, kept flat. Construct with
+/// [`SolveRequest::new`] and chain the builder methods:
 ///
 /// ```
 /// use dmn_core::cost::UpdatePolicy;
@@ -154,10 +137,13 @@ pub struct SolveRequest {
     /// per-object map may use (`None` = all CPUs). Placements do not
     /// depend on it.
     pub max_threads: Option<usize>,
+    /// Per-node copy capacities; when set, every engine's placement is
+    /// post-processed with the greedy capacity repair (the `capacitated`
+    /// engine instead optimizes under the constraint natively and only
+    /// passes the repair as a no-op feasibility check).
+    pub capacities: Option<Vec<usize>>,
     /// Approximation-algorithm knobs (phase-1 backend, warm seeds).
     pub fl: FlOpts,
-    /// Capacity-model knobs (copy caps, load budgets).
-    pub cap: CapOpts,
     /// Distance-closure knobs (dense vs sparse).
     pub metric: MetricOpts,
     /// Robustness knobs (solve deadline, degraded-mode fallback).
@@ -172,8 +158,8 @@ impl Default for SolveRequest {
             replication_degree: 3,
             collect_traces: false,
             max_threads: None,
+            capacities: None,
             fl: FlOpts::default(),
-            cap: CapOpts::default(),
             metric: MetricOpts::default(),
             robust: RobustOpts::default(),
         }
@@ -229,14 +215,7 @@ impl SolveRequest {
 
     /// Constrains per-node copy counts (applied to every engine's output).
     pub fn capacities(mut self, cap: Vec<usize>) -> Self {
-        self.cap.capacities = Some(cap);
-        self
-    }
-
-    /// Constrains per-node service loads (capacitated engines only; see
-    /// [`CapOpts::load_capacities`]).
-    pub fn load_capacities(mut self, budgets: Vec<f64>) -> Self {
-        self.cap.load_capacities = Some(budgets);
+        self.capacities = Some(cap);
         self
     }
 
@@ -296,7 +275,7 @@ mod tests {
         assert_eq!(req.policy, UpdatePolicy::UnicastStar);
         let cfg = req.approx_config();
         assert_eq!(cfg.fl_solver, FlSolverKind::Greedy);
-        assert_eq!(req.cap.capacities.as_deref(), Some(&[1usize, 1, 1][..]));
+        assert_eq!(req.capacities.as_deref(), Some(&[1usize, 1, 1][..]));
     }
 
     #[test]
@@ -306,7 +285,7 @@ mod tests {
         assert_eq!(dmn_approx::WRITE_PRUNE_FACTOR, 4.0);
         assert_eq!(req.policy, UpdatePolicy::MstMulticast);
         assert_eq!(req.max_threads, None, "None = all CPUs");
-        assert!(req.cap.load_capacities.is_none());
+        assert!(req.capacities.is_none());
         assert_eq!(req.metric.backend, MetricBackend::Dense);
         assert!(!req.wants_sparse_metric());
         assert_eq!(
@@ -333,17 +312,6 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn negative_deadline_rejected() {
         let _ = SolveRequest::new().deadline(-1.0);
-    }
-
-    #[test]
-    fn capacity_model_knobs_chain() {
-        let req = SolveRequest::new()
-            .capacities(vec![2, 2, 2])
-            .load_capacities(vec![10.0, 5.0, 10.0]);
-        assert_eq!(
-            req.cap.load_capacities.as_deref(),
-            Some(&[10.0, 5.0, 10.0][..])
-        );
     }
 
     #[test]

@@ -338,3 +338,43 @@ fn cold_best_single_counts_the_metric_build_once() {
         report.phases
     );
 }
+
+/// Only the solve that built the dense metric reports the build: later
+/// solves of the same instance read a `metric-build` of 0, and every
+/// `best-single` report's phases still sum to at most its wall clock.
+#[test]
+fn later_solves_of_an_instance_do_not_repeat_its_metric_build() {
+    let instance = scenario(TopologyKind::Grid { rows: 30, cols: 30 }, 900, 23).build_instance();
+    let req = SolveRequest::new();
+    let reports: Vec<_> = ["best-single", "best-single", "approx"]
+        .into_iter()
+        .map(|name| {
+            solvers::by_name(name)
+                .expect("registered")
+                .solve(&instance, &req)
+        })
+        .collect();
+    assert!(
+        reports[0].metric_build_seconds() > 0.0,
+        "{:?}",
+        reports[0].phases
+    );
+    for report in &reports[1..] {
+        assert_eq!(
+            report.metric_build_seconds(),
+            0.0,
+            "{}: {:?}",
+            report.solver,
+            report.phases
+        );
+    }
+    for report in &reports[..2] {
+        let phases: f64 = report.phases.iter().map(|p| p.seconds).sum();
+        assert!(
+            phases <= report.wall_seconds,
+            "phases sum to {phases} s, past the {} s wall: {:?}",
+            report.wall_seconds,
+            report.phases
+        );
+    }
+}

@@ -14,9 +14,9 @@
 //!   the dense evaluator on the sparse placement exactly.
 //!
 //! Both properties hold for every worker-thread count too: a parallel
-//! sparse solve must reproduce the one-thread sparse solve, and the `cap:`
-//! wrapper must stay feasible (capacity repair falls back to the dense
-//! evaluator by design).
+//! sparse solve must reproduce the one-thread sparse solve, and the
+//! `capacitated` engine must stay feasible (capacity repair falls back to
+//! the dense evaluator by design).
 
 use dmn_core::cost::evaluate;
 use dmn_solve::{solvers, FlSolverKind, MetricBackend, SolveReport, SolveRequest};
@@ -250,7 +250,7 @@ fn parallel_sparse_matches_sequential() {
     }
 }
 
-/// The `cap:` wrapper accepts the sparse backend: the solve stays
+/// The `capacitated` engine accepts the sparse backend: the solve stays
 /// feasible under per-node capacities (capacity repair and the final
 /// evaluation fall back to the dense path by design).
 #[test]
